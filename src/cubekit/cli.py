@@ -8,7 +8,8 @@ Every report carries the input digests, the parameters, a list of results
 tagged with their method (exact, lower_bound, or one_sided), the statement
 each command checks, and the wall-clock duration.  Exit codes: 0 for a
 computed or passing result, 1 when a pass/fail verdict is negative, 2 for
-input errors.
+input errors, 3 when an internal cross-check fails (a bug), and 4 when the
+input exceeds the size cap of an exact computation.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .diagnostics import (
     max_grid,
     max_thick_rectangle,
 )
-from .errors import CubekitError
-from .formats import parse_graph, parse_polygons, parse_subsets
+from .errors import ConsistencyError, CubekitError, SizeCapError
+from .formats import parse_graph, parse_polygons, parse_subsets, serialize_graph
 from .median import L1, LINF, MedianGraph
 from .polygonal import (
     PolygonalComplex,
@@ -544,10 +545,7 @@ def _render_dual_text(args) -> int:
     dc = dual_cube_complex(x)
     g = dc.graph
     print(f"# dual cube complex of {args.file}")
-    for v in g.ids:
-        print(f"vertex {v}")
-    for a, b in g.edges:
-        print(f"edge {g.ids[a]} {g.ids[b]}")
+    print(serialize_graph(g.ids, [(g.ids[a], g.ids[b]) for a, b in g.edges]), end="")
     print("# sidecar: wall labels")
     for w in dc.walls:
         print(f"# wall {w.index} : {' '.join(w.edges)}")
@@ -748,6 +746,16 @@ def _print_version() -> int:
     return 0
 
 
+def _fail(e: Exception) -> int:
+    """Report an error; its exit code tells a bug and a cap hit from bad input."""
+    print(f"error: {e}", file=sys.stderr)
+    if isinstance(e, ConsistencyError):
+        return 3
+    if isinstance(e, SizeCapError):
+        return 4
+    return 2
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--version" in argv:
@@ -760,14 +768,12 @@ def main(argv=None) -> int:
         try:
             return _render_dual_text(args)
         except (CubekitError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+            return _fail(e)
     start = time.perf_counter()
     try:
         inputs, params, results, verdict = args.handler(args)
     except (CubekitError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _fail(e)
     report = AnalysisReport(
         command=command,
         inputs=inputs,

@@ -22,7 +22,7 @@ from .errors import (
     SizeCapError,
     ValidationError,
 )
-from .median import L1, MedianGraph
+from .median import L1, MedianGraph, WallSystem
 
 CLIQUE = "clique"
 APEX = "apex"
@@ -33,144 +33,6 @@ DELTA_SIZE_LIMIT = 400
 GRID_NODE_CAP = 200_000
 RECT_STATE_CAP = 50_000
 CYCLE_COUNT_CAP = 10**6
-
-
-# -- wall systems --------------------------------------------------------------
-
-
-class WallSystem:
-    """Halfspace data (walls x vertices) with the transversality relation.
-
-    This is the combinatorial core shared by hyperplanes of median graphs,
-    walls of Coxeter balls and walls of polygonal complexes.  A *chain* is a
-    family of pairwise disjoint walls all separating one vertex pair; such a
-    family is linearly ordered by halfspace inclusion.
-    """
-
-    def __init__(self, sides: np.ndarray, transverse: np.ndarray):
-        self.sides = np.ascontiguousarray(np.asarray(sides, dtype=bool))
-        self.transverse = np.asarray(transverse, dtype=bool)
-        if self.sides.ndim != 2:
-            raise GraphInputError("wall sides must be a walls x vertices table")
-        self.h = int(self.sides.shape[0])
-        self.nv = int(self.sides.shape[1])
-        if self.transverse.shape != (self.h, self.h):
-            raise GraphInputError("transversality table has the wrong shape")
-        self._side_count = self.sides.sum(axis=1).astype(np.int64)
-        self._trans_int: list[int] = []
-        for j in range(self.h):
-            m = 0
-            for k in np.flatnonzero(self.transverse[j]):
-                m |= 1 << int(k)
-            self._trans_int.append(m)
-        full = (1 << self.h) - 1
-        self._disjoint_int = [
-            full & ~self._trans_int[j] & ~(1 << j) for j in range(self.h)
-        ]
-        self._pairs: list[tuple[int, tuple[int, int]]] | None = None
-        self._chain_memo: dict[int, tuple[int, tuple[int, ...], tuple | None]] = {}
-        self._pair_chain_memo: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    @classmethod
-    def from_graph(cls, g: MedianGraph) -> "WallSystem":
-        g.require_median()
-        return cls(g.sides, g.transverse)
-
-    @property
-    def pairs(self) -> list[tuple[int, tuple[int, int]]]:
-        """Distinct separation masks, one representative vertex pair each."""
-        if self._pairs is None:
-            found: dict[bytes, tuple[int, tuple[int, int]]] = {}
-            s = self.sides
-            for x in range(self.nv):
-                diff = s != s[:, x : x + 1]
-                packed = np.packbits(diff, axis=0)
-                for y in range(x + 1, self.nv):
-                    key = packed[:, y].tobytes()
-                    if key in found or not any(key):
-                        continue
-                    m = 0
-                    for j in np.flatnonzero(diff[:, y]):
-                        m |= 1 << int(j)
-                    found[key] = (m, (x, y))
-            self._pairs = list(found.values())
-        return self._pairs
-
-    def side_size_toward(self, j: int, x: int) -> int:
-        if self.sides[j, x]:
-            return int(self._side_count[j])
-        return self.nv - int(self._side_count[j])
-
-    def order_chain(self, members, rep: tuple[int, int]) -> tuple[int, ...]:
-        """Order a chain by halfspace nesting toward the first pair vertex."""
-        return tuple(sorted(members, key=lambda j: self.side_size_toward(j, rep[0])))
-
-    def longest_chain(self, mask: int) -> tuple[int, tuple[int, ...], tuple | None]:
-        """Longest chain inside the wall set `mask` (a bitmask)."""
-        hit = self._chain_memo.get(mask)
-        if hit is not None:
-            return hit
-        best_len, best_members, best_rep = 0, (), None
-        if mask:
-            for m, rep in self.pairs:
-                mm = m & mask
-                if mm.bit_count() <= best_len:
-                    continue
-                ln, members = self._chain_in_pair(mm, rep)
-                if ln > best_len:
-                    best_len, best_members, best_rep = ln, members, rep
-        out = (best_len, best_members, best_rep)
-        self._chain_memo[mask] = out
-        return out
-
-    def _chain_in_pair(self, mm: int, rep: tuple[int, int]):
-        """Longest pairwise disjoint subfamily of walls all separating rep.
-
-        Two disjoint walls separating the same pair are strictly nested, so
-        sorting by halfspace size makes this a longest-increasing-chain DP.
-        """
-        hit = self._pair_chain_memo.get(mm)
-        if hit is not None:
-            return hit
-        members = []
-        rest = mm
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        members.sort(key=lambda j: self.side_size_toward(j, rep[0]))
-        k = len(members)
-        f = [1] * k
-        parent = [-1] * k
-        for i in range(k):
-            for t in range(i):
-                if not self.transverse[members[t], members[i]] and f[t] + 1 > f[i]:
-                    f[i] = f[t] + 1
-                    parent[i] = t
-        if k == 0:
-            out = (0, ())
-        else:
-            top = max(range(k), key=lambda i: f[i])
-            chain = []
-            cur = top
-            while cur != -1:
-                chain.append(members[cur])
-                cur = parent[cur]
-            chain.reverse()
-            out = (f[top], tuple(chain))
-        self._pair_chain_memo[mm] = out
-        return out
-
-    def wall_side(self, a: int, c: int):
-        """The side of wall c on which wall a lies entirely (True for side a
-        of c, False for side b), or None when they are transverse."""
-        if self.transverse[a, c]:
-            return None
-        A, C = self.sides[a], self.sides[c]
-        for val, mask in ((True, C), (False, ~C)):
-            if (A & mask).any() and (~A & mask).any():
-                return val
-        return None
 
 
 # -- grids ----------------------------------------------------------------------
@@ -307,7 +169,7 @@ def grid_search(ws: WallSystem, cap: int = GRID_NODE_CAP) -> GridReport:
 
 
 def max_grid(g: MedianGraph, cap: int = GRID_NODE_CAP) -> GridReport:
-    return grid_search(WallSystem.from_graph(g), cap)
+    return grid_search(g.wall_system, cap)
 
 
 def has_grid_through(
@@ -601,13 +463,34 @@ class BigonReport:
     method: str
 
 
-def _bigon_core(g: MedianGraph, measure: np.ndarray) -> BigonReport:
-    """Max over endpoint pairs and geodesic bigons of the Hausdorff gap.
+def bigon_thinness(
+    g: MedianGraph, metric: str = L1, size_limit: int = DELTA_SIZE_LIMIT
+) -> BigonReport:
+    """Thinness of geodesic bigons of g, measured in the chosen metric.
 
-    For fixed endpoints (x, y), F(v) = max over geodesics gamma from v to y
-    of min over q in gamma of measure(p, q); a backwards DP over the
+    Geodesics are always taken in g itself; LINF measures their divergence
+    in the cube cone-off metric (g must be median for that).
+    """
+    return bigon_thinness_in(g, g.dist_matrix(metric), size_limit)
+
+
+def bigon_thinness_in(
+    g: MedianGraph, measure: np.ndarray, size_limit: int = DELTA_SIZE_LIMIT
+) -> BigonReport:
+    """Thinness of g's geodesic bigons measured in an external metric table
+    (rows/columns aligned with g's vertex order).
+
+    This is the max over endpoint pairs and geodesic bigons of the Hausdorff
+    gap.  For fixed endpoints (x, y), F(v) = max over geodesics gamma from v
+    to y of min over q in gamma of measure(p, q); a backwards DP over the
     geodesic DAG computes F for every interval basepoint p at once.
     """
+    if g.n > size_limit:
+        raise SizeCapError(
+            f"bigon scan is capped at {size_limit} vertices (got {g.n})"
+        )
+    if measure.shape != (g.n, g.n):
+        raise GraphInputError("measure matrix shape does not match the graph")
     n = g.n
     d = g.dist
     adj = g.adj
@@ -634,35 +517,6 @@ def _bigon_core(g: MedianGraph, measure: np.ndarray) -> BigonReport:
                 best = val
                 wit = (g.ids[x], g.ids[y])
     return BigonReport(best, wit, EXACT)
-
-
-def bigon_thinness(
-    g: MedianGraph, metric: str = L1, size_limit: int = DELTA_SIZE_LIMIT
-) -> BigonReport:
-    """Thinness of geodesic bigons of g, measured in the chosen metric.
-
-    Geodesics are always taken in g itself; LINF measures their divergence
-    in the cube cone-off metric (g must be median for that).
-    """
-    if g.n > size_limit:
-        raise SizeCapError(
-            f"bigon scan is capped at {size_limit} vertices (got {g.n})"
-        )
-    return _bigon_core(g, g.dist_matrix(metric))
-
-
-def bigon_thinness_in(
-    g: MedianGraph, measure: np.ndarray, size_limit: int = DELTA_SIZE_LIMIT
-) -> BigonReport:
-    """Thinness of g's geodesic bigons measured in an external metric table
-    (rows/columns aligned with g's vertex order)."""
-    if g.n > size_limit:
-        raise SizeCapError(
-            f"bigon scan is capped at {size_limit} vertices (got {g.n})"
-        )
-    if measure.shape != (g.n, g.n):
-        raise GraphInputError("measure matrix shape does not match the graph")
-    return _bigon_core(g, measure)
 
 
 # -- cone-offs ---------------------------------------------------------------------
@@ -842,8 +696,7 @@ def contracting(g: MedianGraph, n: int, cap: int = GRID_NODE_CAP) -> Contracting
     """
     if n < 1:
         raise GraphInputError("contracting level must be >= 1")
-    g.require_median()
-    ws = WallSystem.from_graph(g)
+    ws = g.wall_system
     verdicts = []
     for h in g.hyperplanes():
         if h.dimension >= n:

@@ -121,6 +121,140 @@ class ConvexityVerdict:
         return self.ok
 
 
+# -- wall systems --------------------------------------------------------------
+
+
+class WallSystem:
+    """Halfspace data (walls x vertices) with the transversality relation.
+
+    This is the combinatorial core shared by hyperplanes of median graphs,
+    walls of Coxeter balls and walls of polygonal complexes.  A *chain* is a
+    family of pairwise disjoint walls all separating one vertex pair; such a
+    family is linearly ordered by halfspace inclusion.
+    """
+
+    def __init__(self, sides: np.ndarray, transverse: np.ndarray):
+        self.sides = np.ascontiguousarray(np.asarray(sides, dtype=bool))
+        self.transverse = np.asarray(transverse, dtype=bool)
+        if self.sides.ndim != 2:
+            raise GraphInputError("wall sides must be a walls x vertices table")
+        self.h = int(self.sides.shape[0])
+        self.nv = int(self.sides.shape[1])
+        if self.transverse.shape != (self.h, self.h):
+            raise GraphInputError("transversality table has the wrong shape")
+        self._side_count = self.sides.sum(axis=1).astype(np.int64)
+        self._trans_int: list[int] = []
+        for j in range(self.h):
+            m = 0
+            for k in np.flatnonzero(self.transverse[j]):
+                m |= 1 << int(k)
+            self._trans_int.append(m)
+        full = (1 << self.h) - 1
+        self._disjoint_int = [
+            full & ~self._trans_int[j] & ~(1 << j) for j in range(self.h)
+        ]
+        self._pairs: list[tuple[int, tuple[int, int]]] | None = None
+        self._chain_memo: dict[int, tuple[int, tuple[int, ...], tuple | None]] = {}
+        self._pair_chain_memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    @property
+    def pairs(self) -> list[tuple[int, tuple[int, int]]]:
+        """Distinct separation masks, one representative vertex pair each."""
+        if self._pairs is None:
+            found: dict[bytes, tuple[int, tuple[int, int]]] = {}
+            s = self.sides
+            for x in range(self.nv):
+                diff = s != s[:, x : x + 1]
+                packed = np.packbits(diff, axis=0)
+                for y in range(x + 1, self.nv):
+                    key = packed[:, y].tobytes()
+                    if key in found or not any(key):
+                        continue
+                    m = 0
+                    for j in np.flatnonzero(diff[:, y]):
+                        m |= 1 << int(j)
+                    found[key] = (m, (x, y))
+            self._pairs = list(found.values())
+        return self._pairs
+
+    def order_chain(self, members, rep: tuple[int, int]) -> tuple[int, ...]:
+        """Order a chain by halfspace nesting toward the first pair vertex."""
+        members = np.array(members, dtype=np.intp)
+        toward = np.where(self.sides[members, rep[0]], self._side_count[members],
+                          self.nv - self._side_count[members])
+        return tuple(int(j) for j in members[np.argsort(toward, kind="stable")])
+
+    def longest_chain(self, mask: int) -> tuple[int, tuple[int, ...], tuple | None]:
+        """Longest chain inside the wall set `mask` (a bitmask)."""
+        hit = self._chain_memo.get(mask)
+        if hit is not None:
+            return hit
+        best_len, best_members, best_rep = 0, (), None
+        if mask:
+            for m, rep in self.pairs:
+                mm = m & mask
+                if mm.bit_count() <= best_len:
+                    continue
+                ln, members = self._chain_in_pair(mm, rep)
+                if ln > best_len:
+                    best_len, best_members, best_rep = ln, members, rep
+        out = (best_len, best_members, best_rep)
+        self._chain_memo[mask] = out
+        return out
+
+    def _chain_in_pair(self, mm: int, rep: tuple[int, int]):
+        """Longest pairwise disjoint subfamily of walls all separating rep.
+
+        Two disjoint walls separating the same pair are strictly nested, so
+        sorting by halfspace size makes this a longest-increasing-chain DP.
+        """
+        hit = self._pair_chain_memo.get(mm)
+        if hit is not None:
+            return hit
+        members = []
+        rest = mm
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        idx = np.array(members, dtype=np.intp)
+        toward = np.where(self.sides[idx, rep[0]], self._side_count[idx],
+                          self.nv - self._side_count[idx])
+        members = [members[i] for i in np.argsort(toward, kind="stable")]
+        k = len(members)
+        f = [1] * k
+        parent = [-1] * k
+        for i in range(k):
+            for t in range(i):
+                if not self.transverse[members[t], members[i]] and f[t] + 1 > f[i]:
+                    f[i] = f[t] + 1
+                    parent[i] = t
+        if k == 0:
+            out = (0, ())
+        else:
+            top = max(range(k), key=lambda i: f[i])
+            chain = []
+            cur = top
+            while cur != -1:
+                chain.append(members[cur])
+                cur = parent[cur]
+            chain.reverse()
+            out = (f[top], tuple(chain))
+        self._pair_chain_memo[mm] = out
+        return out
+
+    def wall_side(self, a: int, c: int):
+        """The side of wall c on which wall a lies entirely (True for side a
+        of c, False for side b), or None when they are transverse."""
+        if self.transverse[a, c]:
+            return None
+        A, C = self.sides[a], self.sides[c]
+        for val, mask in ((True, C), (False, ~C)):
+            if (A & mask).any() and (~A & mask).any():
+                return val
+        return None
+
+
 class MedianGraph:
     """A finite simple graph with opaque string vertex ids.
 
@@ -319,41 +453,15 @@ class MedianGraph:
                 class_edges.append([])
             edge_class[ei] = roots[r]
             class_edges[roots[r]].append(ei)
-        h = len(class_edges)
-        # halfspaces: cut the dual edges, take the two components
-        sides = np.zeros((h, self.n), dtype=bool)
-        for ci, dual in enumerate(class_edges):
-            cut = set(dual)
-            comp = np.full(self.n, -1, dtype=np.int8)
-            anchor = self.edges[dual[0]][0]
-            stack = [anchor]
-            comp[anchor] = 0
-            while stack:
-                u = stack.pop()
-                for v in self.adj[u]:
-                    key = (min(u, v), max(u, v))
-                    if self.edge_index[key] in cut:
-                        continue
-                    if comp[v] == -1:
-                        comp[v] = 0
-                        stack.append(v)
-            if not (comp == -1).any():
-                raise ConsistencyError("hyperplane cut did not separate the graph")
-            other = int(np.flatnonzero(comp == -1)[0])
-            stack = [other]
-            comp[other] = 1
-            while stack:
-                u = stack.pop()
-                for v in self.adj[u]:
-                    key = (min(u, v), max(u, v))
-                    if self.edge_index[key] in cut:
-                        continue
-                    if comp[v] == -1:
-                        comp[v] = 1
-                        stack.append(v)
-            if (comp == -1).any():
-                raise ConsistencyError("hyperplane cut produced more than two sides")
-            sides[ci] = comp == 0
+        # halfspace of a class: W(u, v) = {x : d(x, u) < d(x, v)} for its
+        # first dual edge uv (Djokovic); its cut edges must be the class
+        first = [self.edges[dual[0]] for dual in class_edges]
+        u, v = np.array(first, dtype=np.intp).reshape(-1, 2).T
+        sides = self.dist[u] < self.dist[v]
+        a, b = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        cut = sides[:, a] != sides[:, b]
+        if not (cut == (edge_class == np.arange(len(class_edges))[:, None])).all():
+            raise ConsistencyError("a halfspace cut differs from its edge class")
         data = {"class_edges": class_edges, "edge_class": edge_class, "sides": sides}
         self._cache["hyp"] = data
         return data
@@ -380,6 +488,13 @@ class MedianGraph:
             np.fill_diagonal(trans, False)
             self._cache["transverse"] = trans
         return self._cache["transverse"]
+
+    @property
+    def wall_system(self) -> WallSystem:
+        """The hyperplanes as a WallSystem over ``sides`` and ``transverse``."""
+        if "wall_system" not in self._cache:
+            self._cache["wall_system"] = WallSystem(self.sides, self.transverse)
+        return self._cache["wall_system"]
 
     def separating(self, x: str, y: str) -> list[int]:
         """Indices of hyperplanes separating two vertices."""
@@ -526,44 +641,6 @@ class MedianGraph:
             return self._cache["linf_dist"]
         raise ValueError(f"unknown metric {metric!r}")
 
-    def _longest_separating_chain(self, ix: int, iy: int) -> list[int]:
-        """Longest chain of pairwise disjoint hyperplanes separating x and y.
-
-        Disjoint separating hyperplanes nest once oriented toward x, so the
-        chain is a longest path in the DAG ordered by x-side size.
-        """
-        sep = [int(j) for j in np.flatnonzero(self._sep_mask(ix, iy))]
-        if not sep:
-            return []
-        s = self.sides
-        trans = self.transverse
-        # size of the side containing x, per separating hyperplane
-        sizes = []
-        side_bits = []
-        for j in sep:
-            row = s[j] if s[j, ix] else ~s[j]
-            side_bits.append(row)
-            sizes.append(int(row.sum()))
-        order = sorted(range(len(sep)), key=lambda t: sizes[t])
-        best = [1] * len(sep)
-        prev = [-1] * len(sep)
-        for a_pos in range(len(order)):
-            a = order[a_pos]
-            for b_pos in range(a_pos):
-                b = order[b_pos]
-                if trans[sep[a], sep[b]]:
-                    continue
-                if best[b] + 1 > best[a]:
-                    best[a] = best[b] + 1
-                    prev[a] = b
-        top = max(range(len(sep)), key=lambda t: best[t])
-        chain = []
-        while top != -1:
-            chain.append(sep[top])
-            top = prev[top]
-        chain.reverse()
-        return chain
-
     def distance(self, x: str, y: str, metric: str = L1) -> int:
         """Graph distance (l1) or cube cone-off distance (linf).
 
@@ -575,11 +652,12 @@ class MedianGraph:
         if metric == L1:
             return int(self.dist_matrix(L1)[ix, iy])
         if metric == LINF:
-            chain = self._longest_separating_chain(ix, iy)
+            mask = sum(1 << int(j) for j in np.flatnonzero(self._sep_mask(ix, iy)))
+            chain = self.wall_system._chain_in_pair(mask, (ix, iy))[0]
             bfs = int(self.dist_matrix(LINF)[ix, iy])
-            if len(chain) != bfs:
+            if chain != bfs:
                 raise ConsistencyError(
-                    f"linf disagreement at ({x!r}, {y!r}): chain {len(chain)} vs cone-off BFS {bfs}"
+                    f"linf disagreement at ({x!r}, {y!r}): chain {chain} vs cone-off BFS {bfs}"
                 )
             return bfs
         raise ValueError(f"unknown metric {metric!r}")

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .formats import RawComplex
-from .median import MedianGraph
+from .median import MedianGraph, UnionFind
 
 EDGE_CUBE = "edge-cube"
 CELL_CUBE = "cell-cube"
@@ -454,28 +454,20 @@ def _cut_components(x, cut):
 
 def walls(x: PolygonalComplex) -> tuple[Wall, ...]:
     """Edge classes under opposite-in-a-polygon, with sides and carriers."""
-    parent = {e: e for e in x.edges}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for eids in x.boundary_edges.values():
-        half = len(eids) // 2
+    eids = list(x.edges)
+    pos = {e: i for i, e in enumerate(eids)}
+    uf = UnionFind(len(eids))
+    for boundary in x.boundary_edges.values():
+        half = len(boundary) // 2
         for i in range(half):
-            ra, rb = find(eids[i]), find(eids[i + half])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+            uf.union(pos[boundary[i]], pos[boundary[i + half]])
 
-    classes: dict[str, list[str]] = {}
-    for e in x.edges:
-        classes.setdefault(find(e), []).append(e)
+    classes: dict[int, list[str]] = {}
+    for i, e in enumerate(eids):
+        classes.setdefault(uf.find(i), []).append(e)
 
     out = []
-    for rep in sorted(classes):
-        cls = tuple(sorted(classes[rep]))
+    for cls in sorted(tuple(sorted(c)) for c in classes.values()):
         carriers = sorted({p for e in cls for p in x.edge_polygons[e]})
         out.append(
             Wall(len(out), cls, tuple(carriers), _cut_components(x, set(cls)))
@@ -673,6 +665,7 @@ def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
     intersected: a whole polygon projects to its center, a shared segment
     to its midpoint, and a single shared vertex to that vertex.
     """
+    dc.graph.indices_of([v])  # an unknown id is bad input, not a bug
     if report is None:
         report = classify_maximal_cubes(dc)
     for wset, verts in report.unmatched:
@@ -809,8 +802,10 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     pu = dual_projection(x, dc, u, report)
     pw = dual_projection(x, dc, w, report)
     g = dc.graph
-    seps = list(g.separating(u, w))
-    dual_family = _best_family(seps, lambda i, j: not g.transverse[i, j])
+    # separating hyperplanes of a median graph nest, so the chain DP is exact
+    rep = tuple(g.indices_of([u, w]))
+    mask = sum(1 << j for j in g.separating(u, w))
+    dual_family = g.wall_system._chain_in_pair(mask, rep)[1]
 
     cand = []
     for wall in dc.walls:

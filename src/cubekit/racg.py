@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from .diagnostics import WallSystem
 from .errors import ConsistencyError, GraphInputError, SizeCapError
-from .median import MedianGraph
+from .median import MedianGraph, UnionFind, WallSystem
 
 SQUARES = "squares"
 LARGE_JOINS = "large_joins"
@@ -463,18 +461,15 @@ def j_sequence(
         raise GraphInputError(f"unknown seed {seed!r}")
     trace = [tuple(current)]
     while True:
-        g = nx.Graph()
-        g.add_nodes_from(range(len(current)))
+        uf = UnionFind(len(current))
         for i, j in itertools.combinations(range(len(current)), 2):
             if not dg.is_complete_set(current[i] & current[j]):
-                g.add_edge(i, j)
-        nxt = sorted(
-            {
-                cp_closure(dg, frozenset().union(*(current[i] for i in comp)))
-                for comp in nx.connected_components(g)
-            },
-            key=sorted,
-        )
+                uf.union(i, j)
+        groups: dict[int, frozenset[str]] = {}
+        for i, member in enumerate(current):
+            root = uf.find(i)
+            groups[root] = groups.get(root, frozenset()) | member
+        nxt = sorted({cp_closure(dg, group) for group in groups.values()}, key=sorted)
         if nxt == current:
             break
         current = nxt

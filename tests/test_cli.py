@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cubekit import cli
+from cubekit.errors import ConsistencyError
 from cubekit.formats import parse_graph
 from cubekit.median import MedianGraph
 
@@ -143,6 +144,23 @@ class TestExitCodes:
         assert "3 sides" in rep["results"][0]["witness"]
         # any analysis needing the complex reports an input error
         assert cli.main(["poly", "sc", path]) == 2
+
+    def test_size_cap_is_four(self, files, capsys):
+        # 26 sides is past the piece-cover search cap of 24
+        n = 26
+        text = "".join(f"vertex v{i}\n" for i in range(n))
+        text += "".join(f"edge e{i} v{i} v{(i + 1) % n}\n" for i in range(n))
+        text += "polygon P : " + " ".join(f"+e{i}" for i in range(n)) + "\n"
+        assert cli.main(["poly", "sc", files("big", text)]) == 4
+        assert "capped at 24" in capsys.readouterr().err
+
+    def test_internal_check_failure_is_three(self, files, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ConsistencyError("cross-check failed")
+
+        monkeypatch.setattr(cli, "delta", broken)
+        assert cli.main(["diag", "delta", files("g", SQUARE)]) == 3
+        assert "cross-check failed" in capsys.readouterr().err
 
 
 class TestReportShape:

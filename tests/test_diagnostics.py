@@ -16,7 +16,6 @@ from cubekit.diagnostics import (
     ConeOff,
     FlatRectangle,
     Grid,
-    WallSystem,
     bigon_thinness,
     bigon_thinness_in,
     cone_off,
@@ -108,7 +107,7 @@ def test_grid_pareto_matches_oracle_on_small_tree():
 
 def test_grid_witnesses_pass_independent_verification():
     for g in (fx.grid_graph(3, 2), fx.grid_graph(5, 4), fx.staircase(5)):
-        ws = WallSystem.from_graph(g)
+        ws = g.wall_system
         rep = grid_search(ws)
         assert len(rep.witnesses) == len(rep.pareto)
         for (p, q), grid in zip(rep.pareto, rep.witnesses):
@@ -118,7 +117,7 @@ def test_grid_witnesses_pass_independent_verification():
 
 def test_verify_grid_rejects_transverse_chain():
     g = fx.hypercube(2)
-    ws = WallSystem.from_graph(g)
+    ws = g.wall_system
     # both hyperplanes of a square are transverse, so (0, 1) is not a chain
     with pytest.raises(ConsistencyError):
         verify_grid(ws, Grid(verticals=(0, 1), horizontals=(0,)))
@@ -126,7 +125,7 @@ def test_verify_grid_rejects_transverse_chain():
 
 def test_verify_grid_rejects_parallel_cross_family():
     g = fx.grid_graph(3, 2)
-    ws = WallSystem.from_graph(g)
+    ws = g.wall_system
     chain3 = [j for j in range(g.hyperplane_count) if not ws.transverse[j].all()]
     # pick three mutually disjoint walls and pretend one of them crosses the rest
     verts = [j for j in chain3 if np.count_nonzero(ws.transverse[j]) == 2][:3]
@@ -141,7 +140,7 @@ def test_grid_node_cap_degrades_to_lower_bound():
 
 def test_grid_through_every_wall_of_flat_grid():
     g = fx.grid_graph(5, 5)
-    ws = WallSystem.from_graph(g)
+    ws = g.wall_system
     for j in range(g.hyperplane_count):
         assert has_grid_through(ws, j, 3) == (True, True)
     assert has_grid_through(ws, 0, 6) == (False, True)
@@ -149,13 +148,13 @@ def test_grid_through_every_wall_of_flat_grid():
 
 def test_no_grid_through_tree_wall():
     g = fx.random_tree(10, random.Random(1))
-    ws = WallSystem.from_graph(g)
+    ws = g.wall_system
     assert has_grid_through(ws, 0, 2) == (False, True)
 
 
 def test_wall_side_classification():
     g = fx.grid_graph(3, 2)
-    ws = WallSystem.from_graph(g)
+    ws = g.wall_system
     a, b = 0, 1
     trans = [(i, j) for i in range(5) for j in range(5) if ws.transverse[i, j]]
     assert all(ws.wall_side(i, j) is None for i, j in trans)
@@ -166,7 +165,7 @@ def test_wall_side_classification():
 
 def test_chain_members_order_by_halfspace_nesting():
     g = fx.grid_graph(5, 4)
-    ws = WallSystem.from_graph(g)
+    ws = g.wall_system
     full = (1 << g.hyperplane_count) - 1
     ln, members, rep = ws.longest_chain(full)
     assert ln == 5

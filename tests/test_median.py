@@ -181,6 +181,14 @@ def test_distance_equals_separating_count():
             assert d[ix, iy] == len(g.separating(g.ids[ix], g.ids[iy]))
 
 
+def test_wall_system_is_cached_over_the_hyperplane_tables():
+    g = FIX["grid_3x2"]
+    ws = g.wall_system
+    assert g.wall_system is ws
+    assert ws.sides is g.sides
+    assert ws.transverse is g.transverse
+
+
 def test_halfspaces_are_convex():
     for name in ["grid_3x2", "cube3", "staircase"]:
         g = FIX[name]

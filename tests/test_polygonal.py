@@ -568,10 +568,10 @@ class TestProjection:
         with pytest.raises(ConsistencyError, match="unclassified"):
             dual_projection(x, dc, sorted(dc.graph.ids)[0])
 
-    def test_unknown_vertex_raises(self):
+    def test_unknown_vertex_is_input_error(self):
         x = ngon_complex(4)
         dc = dual_cube_complex(x)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(GraphInputError, match="unknown vertex"):
             dual_projection(x, dc, "nope")
 
 
@@ -651,6 +651,20 @@ class TestSeparationTransfer:
                 cand,
                 lambda i, j: not walls_cross(dc.walls[i], dc.walls[j]),
             )
+
+    def test_dual_family_is_a_separating_disjoint_chain(self):
+        x = hex_chain_complex(3)
+        dc = dual_cube_complex(x)
+        g = dc.graph
+        rep = classify_maximal_cubes(dc)
+        for u, w in itertools.combinations(g.ids, 2):
+            tr = separation_transfer(x, dc, u, w, rep)
+            fam = tr.dual_family
+            assert len(fam) == tr.dual_disjoint
+            iu, iw = g.index[u], g.index[w]
+            assert all(g.sides[j, iu] != g.sides[j, iw] for j in fam), (u, w)
+            for a, b in itertools.combinations(fam, 2):
+                assert not g.transverse[a, b], (u, w)
 
     def test_holds_on_sampled_pairs(self):
         for name, x in sc_fixtures().items():
