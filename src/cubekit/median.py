@@ -13,8 +13,9 @@ dictionary is available combinatorially:
   and it equals the longest chain of pairwise disjoint separating hyperplanes;
 - every convex set admits a nearest-point projection (the gate map).
 
-Everything here is exact and exhaustive; dense numpy tables are used
-throughout, so the intended scale is a few thousand vertices at most.
+Everything here is exact.  Median recognition checks local conditions over
+the distance table; dense numpy tables (n x n and smaller) are used throughout,
+so the intended scale is a few thousand vertices at most.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     ConsistencyError,
@@ -39,8 +38,11 @@ LINF = "linf"
 
 METRICS = (L1, LINF)
 
-# exhaustive triple scan above this many vertices is refused
+# median recognition above this many vertices is refused
 IS_MEDIAN_CAP = 4000
+
+# blocks of roots or sources keep their scratch tables near this many cells
+_BLOCK_CELLS = 1 << 20
 
 
 def ram_bound(d: int) -> int:
@@ -72,9 +74,37 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    # a: uint8 array, popcount summed over the last axis
-    return np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
+def _pairs_within(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j with groups[i] == groups[j] for a sorted array,
+    ordered by i and then j."""
+    starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    size = np.diff(np.r_[starts, len(groups)])
+    later = np.repeat(starts + size, size) - np.arange(len(groups)) - 1
+    first = np.repeat(np.arange(len(groups)), later)
+    second = np.arange(1, len(first) + 1)
+    second -= np.repeat(np.cumsum(later) - later, later)
+    second += first
+    return first, second
+
+
+def _bfs_table(n: int, arcs: np.ndarray) -> np.ndarray:
+    """All-pairs BFS distances (int32) of a connected graph on n vertices,
+    given as a (k, 2) array holding each edge in both directions.
+
+    scipy is imported here, on first use, so importing cubekit does not load
+    it.  Above one block of sources the float64 scratch is a slice of n x n.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    ones = np.ones(len(arcs), dtype=np.int8)
+    mat = csr_matrix((ones, (arcs[:, 0], arcs[:, 1])), shape=(n, n))
+    out = np.empty((n, n), dtype=np.int32)
+    block = max(1, _BLOCK_CELLS // n)
+    for s0 in range(0, n, block):
+        src = np.arange(s0, min(n, s0 + block)) if block < n else None
+        out[s0 : s0 + block] = shortest_path(mat, method="D", unweighted=True, indices=src)
+    return out
 
 
 @dataclass(frozen=True)
@@ -307,32 +337,23 @@ class MedianGraph:
     @property
     def is_connected(self) -> bool:
         if "connected" not in self._cache:
-            if self.n == 1:
-                self._cache["connected"] = True
-            else:
-                ncomp, _ = connected_components(self._sparse(), directed=False)
-                self._cache["connected"] = ncomp == 1
+            seen = {0}
+            stack = [0]
+            while stack:
+                for v in self.adj[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            self._cache["connected"] = len(seen) == self.n
         return bool(self._cache["connected"])
-
-    def _sparse(self) -> csr_matrix:
-        if "sparse" not in self._cache:
-            if self.edges:
-                rows = [e[0] for e in self.edges] + [e[1] for e in self.edges]
-                cols = [e[1] for e in self.edges] + [e[0] for e in self.edges]
-                data = np.ones(len(rows), dtype=np.int8)
-                mat = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-            else:
-                mat = csr_matrix((self.n, self.n), dtype=np.int8)
-            self._cache["sparse"] = mat
-        return self._cache["sparse"]
 
     @property
     def dist(self) -> np.ndarray:
         """All-pairs graph distance table (int32); requires connectivity."""
         if "dist" not in self._cache:
             self._require_connected()
-            d = shortest_path(self._sparse(), method="D", unweighted=True)
-            self._cache["dist"] = d.astype(np.int32)
+            e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+            self._cache["dist"] = _bfs_table(self.n, np.r_[e, e[:, ::-1]])
         return self._cache["dist"]
 
     def _require_connected(self) -> None:
@@ -344,52 +365,89 @@ class MedianGraph:
 
     # -- median recognition --------------------------------------------------
 
-    def _interval_bits(self) -> np.ndarray:
-        """Packed interval table: bit m of P[x, y] says m is on a geodesic x..y."""
-        if "interval_bits" not in self._cache:
-            d = self.dist
-            ival = (d[:, None, :] + d[None, :, :]) == d[:, :, None]
-            self._cache["interval_bits"] = np.packbits(ival, axis=-1)
-        return self._cache["interval_bits"]
-
     def is_median(self) -> MedianVerdict:
-        """Exhaustive triple scan: every triple must have exactly one median.
+        """Median recognition from local conditions on the distance table.
 
-        Refuses disconnected input.  The scan is O(V^3) bit-operations over a
-        packed O(V^2) interval table.
+        A connected graph is median iff it is bipartite, satisfies the
+        quadrangle condition and contains no K_{2,3} (Bandelt & Chepoi,
+        *Metric graph theory and geometry: a survey*, 2008).  A failed
+        condition is reported as a vertex triple with zero or several
+        medians.  O(n * sum deg^2) time and O(n^2) memory; refuses
+        disconnected input.
         """
         if "median_verdict" in self._cache:
             return self._cache["median_verdict"]
         self._require_connected()
         if self.n > IS_MEDIAN_CAP:
             raise SizeCapError(f"is_median cap is {IS_MEDIAN_CAP} vertices, got {self.n}")
-        verdict = self._median_scan()
+        triple = self._median_failure()
+        if triple is None:
+            verdict = MedianVerdict(ok=True)
+        else:
+            verdict = MedianVerdict(
+                ok=False,
+                witness=tuple(self.ids[t] for t in triple),
+                medians=tuple(self.ids[m] for m in self._median_set(*triple)),
+            )
         self._cache["median_verdict"] = verdict
         return verdict
 
-    def _median_scan(self) -> MedianVerdict:
-        n = self.n
-        pm = self._interval_bits()  # (n, n, W) uint8
-        words = pm.shape[-1]
-        # keep the per-x scratch block around 32 MB
-        chunk = max(1, (32 << 20) // max(1, n * words))
-        for x in range(n):
-            px = pm[x]
-            for y0 in range(0, n, chunk):
-                y1 = min(n, y0 + chunk)
-                block = px[y0:y1, None, :] & px[None, :, :]
-                block &= pm[y0:y1]
-                counts = _popcount(block)
-                bad = np.argwhere(counts != 1)
-                if bad.size:
-                    y, z = int(bad[0][0]) + y0, int(bad[0][1])
-                    meds = self._median_set(x, y, z)
-                    return MedianVerdict(
-                        ok=False,
-                        witness=(self.ids[x], self.ids[y], self.ids[z]),
-                        medians=tuple(self.ids[m] for m in meds),
-                    )
-        return MedianVerdict(ok=True)
+    def _median_failure(self) -> tuple[int, int, int] | None:
+        """A triple without a unique median, or None when the graph is median."""
+        n, d = self.n, self.dist
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        # bipartite: an edge (a, b) level with vertex 0 leaves (0, a, b) with
+        # no median, since a median lies in I(a, b) = {a, b}
+        level = np.flatnonzero(d[0, e[:, 0]] == d[0, e[:, 1]])
+        if level.size:
+            a, b = e[level[0]]
+            return 0, int(a), int(b)
+        # directed edges ("slots") sorted by tail, then head
+        tail, head = np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]]
+        order = np.lexsort((head, tail))
+        tail, head = tail[order], head[order]
+        # paths v - x - w as pairs i < j of slots of x; without a K_{2,3} a
+        # pair v, w has at most two common neighbours, so more than n (n - 1)
+        # paths hold a K_{2,3} and the tails past that count are not needed
+        deg = np.bincount(tail, minlength=n)
+        stop = np.searchsorted(np.cumsum(deg * (deg - 1) // 2), n * (n - 1), "right")
+        i, j = _pairs_within(tail[tail <= stop])
+        if not i.size:
+            return None
+        key = head[i] * n + head[j]
+        del j
+        by_pair = np.argsort(key, kind="stable")
+        key = key[by_pair]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        del key
+        counts = np.diff(starts, append=len(i))
+        # K_{2,3}: a pair with common neighbours z, x1, x2 leaves (z, x1, x2)
+        # with both members of the pair as medians
+        wide = np.flatnonzero(counts >= 3)
+        if wide.size:
+            z, x1, x2 = tail[i[by_pair[starts[wide[0]] + np.arange(3)]]]
+            return int(z), int(x1), int(x2)
+        # the other common neighbour of each path's pair, or -1
+        twin = np.full(len(i), -1)
+        pairs = by_pair[starts[counts == 2][:, None] + [0, 1]]
+        twin[pairs] = tail[i[pairs[:, ::-1]]]
+        # the path on slots (a, b) has index path_of[a] + b
+        path_of = np.searchsorted(i, np.arange(len(tail))) - np.arange(len(tail)) - 1
+        # quadrangle condition: two neighbours v, w of x, both one step nearer
+        # to a root u, need a common neighbour nearer still; only the twin of
+        # x can be, else the triple (u, v, w) has no median
+        block = max(1, _BLOCK_CELLS // (len(tail) + len(i)))
+        for r0 in range(0, n, block):
+            rows = d[r0 : r0 + block]
+            root, slot = np.nonzero(rows[:, head] < rows[:, tail])
+            p, q = _pairs_within(root * n + tail[slot])
+            root, a, b = root[p], slot[p], slot[q]
+            other = twin[path_of[a] + b]
+            bad = np.flatnonzero((other < 0) | (rows[root, other] > rows[root, head[a]]))
+            if bad.size:
+                t = bad[0]
+                return r0 + int(root[t]), int(head[a[t]]), int(head[b[t]])
+        return None
 
     def _median_set(self, x: int, y: int, z: int) -> list[int]:
         d = self.dist
@@ -414,7 +472,7 @@ class MedianGraph:
         ix, iy, iz = self.indices_of([x, y, z])
         meds = self._median_set(ix, iy, iz)
         if len(meds) != 1:
-            raise ConsistencyError("median scan passed but a triple is ambiguous")
+            raise ConsistencyError("median recognition passed but a triple is ambiguous")
         return self.ids[meds[0]]
 
     def interval(self, x: str, y: str) -> frozenset[str]:
@@ -631,13 +689,7 @@ class MedianGraph:
             return self.dist
         if metric == LINF:
             if "linf_dist" not in self._cache:
-                adj = self.linf_adjacency()
-                if adj.any():
-                    mat = csr_matrix(adj.astype(np.int8))
-                    dm = shortest_path(mat, method="D", unweighted=True).astype(np.int32)
-                else:
-                    dm = np.zeros((self.n, self.n), dtype=np.int32)
-                self._cache["linf_dist"] = dm
+                self._cache["linf_dist"] = _bfs_table(self.n, np.argwhere(self.linf_adjacency()))
             return self._cache["linf_dist"]
         raise ValueError(f"unknown metric {metric!r}")
 

@@ -1,10 +1,14 @@
 """End-to-end tests for the cubekit command line tool."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cubekit import cli
+from cubekit import cli, median
 from cubekit.errors import ConsistencyError
 from cubekit.formats import parse_graph
 from cubekit.median import MedianGraph
@@ -154,6 +158,11 @@ class TestExitCodes:
         assert cli.main(["poly", "sc", files("big", text)]) == 4
         assert "capped at 24" in capsys.readouterr().err
 
+    def test_median_size_cap_is_four(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(median, "IS_MEDIAN_CAP", 3)
+        assert cli.main(["median", "check", files("g", SQUARE)]) == 4
+        assert "is_median cap is 3 vertices" in capsys.readouterr().err
+
     def test_internal_check_failure_is_three(self, files, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ConsistencyError("cross-check failed")
@@ -161,6 +170,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "delta", broken)
         assert cli.main(["diag", "delta", files("g", SQUARE)]) == 3
         assert "cross-check failed" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported on the first distance table, not with the CLI
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, cubekit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestReportShape:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,15 +11,19 @@ import pytest
 import bruteforce as bf
 from fixtures import (
     c6_with_chord,
+    cycle_graph,
     grid_graph,
     hypercube,
     k23,
     lshape,
     named_fixtures,
     path_graph,
+    product_graph,
+    random_tree,
     tree_y,
 )
-from cubekit.errors import GraphInputError, NotMedianError
+from cubekit import median
+from cubekit.errors import GraphInputError, NotMedianError, SizeCapError
 from cubekit.median import L1, LINF, MedianGraph, ram_bound
 
 FIX = named_fixtures()
@@ -108,6 +113,115 @@ def test_recognition_matches_bruteforce(name):
 def test_bruteforce_agrees_on_non_median():
     ok, witness = bf.is_median_brute(k23())
     assert not ok and witness is not None
+
+
+def _cube_minus_vertex() -> MedianGraph:
+    q = hypercube(3)
+    return MedianGraph(
+        [v for v in q.ids if v != "111"],
+        [(q.ids[a], q.ids[b]) for a, b in q.edges if "111" not in (q.ids[a], q.ids[b])],
+    )
+
+
+def _witness_shape(g: MedianGraph, rule: str) -> bool:
+    """Whether the rejection witness has the shape its local rule produces."""
+    verdict = g.is_median()
+    x, y, z = g.indices_of(verdict.witness)
+    d = g.dist
+    if rule == "bipartite":
+        # a root and an edge level with it
+        return d[y, z] == 1 and d[x, y] == d[x, z] and not verdict.medians
+    if rule == "quadrangle":
+        # a root and a pair at distance 2 level with it
+        return d[y, z] == 2 and d[x, y] == d[x, z] and not verdict.medians
+    # K_{2,3}: three common neighbours of the two medians
+    meds = g.indices_of(verdict.medians)
+    return len(meds) >= 2 and all(d[m, t] == 1 for m in meds for t in (x, y, z))
+
+
+@pytest.mark.parametrize(
+    "build,rule",
+    [
+        (lambda: cycle_graph(6), "quadrangle"),
+        (_cube_minus_vertex, "quadrangle"),
+        (c6_with_chord, "bipartite"),
+        (k23, "k23"),
+    ],
+    ids=["c6", "cube3_minus_vertex", "c6_with_chord", "k23"],
+)
+def test_each_local_rule_has_a_checked_witness(build, rule):
+    g = build()
+    verdict = g.is_median()
+    assert not verdict.ok
+    assert not bf.is_median_brute(g)[0]
+    meds = bf.median_candidates(g, *verdict.witness)
+    assert len(meds) != 1
+    assert set(verdict.medians) == meds
+    assert _witness_shape(g, rule)
+
+
+def _perturbed_products(count: int, seed: int) -> list[tuple[str, MedianGraph]]:
+    """Products of trees, paths, grids and cubes (n <= 28), each left intact,
+    with one edge deleted, or with a chord closing an odd or an even cycle;
+    disconnected results are dropped."""
+    rng = random.Random(seed)
+    factors = [
+        lambda: random_tree(rng.randint(2, 6), rng),
+        lambda: path_graph(rng.randint(1, 4)),
+        lambda: grid_graph(rng.randint(1, 3), rng.randint(1, 2)),
+        lambda: hypercube(rng.randint(1, 3)),
+    ]
+    kinds = ["intact", "delete", "odd_chord", "even_chord"]
+    out = []
+    while len(out) < count:
+        p = product_graph(rng.choice(factors)(), rng.choice(factors)())
+        if p.n > 28:
+            continue
+        kind = kinds[len(out) % len(kinds)]
+        edges = [(p.ids[a], p.ids[b]) for a, b in p.edges]
+        if kind == "delete":
+            edges.pop(rng.randrange(len(edges)))
+        elif kind != "intact":
+            parity = 0 if kind == "odd_chord" else 1
+            far = [
+                (p.ids[a], p.ids[b])
+                for a, b in itertools.combinations(range(p.n), 2)
+                if p.dist[a, b] >= 2 and p.dist[a, b] % 2 == parity
+            ]
+            if not far:
+                continue
+            edges.append(rng.choice(far))
+        g = MedianGraph(p.ids, edges)
+        if g.is_connected:
+            out.append((kind, g))
+    return out
+
+
+def test_local_recognition_matches_triple_oracle():
+    cases = _perturbed_products(150, 2026)
+    rejected = 0
+    rules = set()
+    for kind, g in cases:
+        verdict = g.is_median()
+        assert verdict.ok == bf.is_median_brute(g)[0], (kind, g.ids, g.edges)
+        if not verdict.ok:
+            rejected += 1
+            meds = bf.median_candidates(g, *verdict.witness)
+            assert len(meds) != 1, (kind, verdict)
+            assert set(verdict.medians) == meds, (kind, verdict)
+            shapes = [r for r in ("bipartite", "quadrangle", "k23") if _witness_shape(g, r)]
+            assert shapes, (kind, verdict)
+            rules.update(shapes)
+    # both verdicts are well represented and every rule rejects something
+    assert 40 <= rejected <= len(cases) - 40
+    assert rules == {"bipartite", "quadrangle", "k23"}
+
+
+def test_size_cap_refuses_recognition(monkeypatch):
+    monkeypatch.setattr(median, "IS_MEDIAN_CAP", 3)
+    with pytest.raises(SizeCapError):
+        grid_graph(1, 1).is_median()
+    assert MedianGraph(["a", "b"], [("a", "b")]).is_median().ok
 
 
 def test_cube_corner_median():
