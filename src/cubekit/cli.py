@@ -27,6 +27,8 @@ from .diagnostics import (
     APEX,
     CLIQUE,
     EXACT,
+    GRID_NODE_CAP,
+    RECT_STATE_CAP,
     bigon_thinness,
     cone_off,
     contracting,
@@ -644,11 +646,19 @@ def _build_parser() -> argparse.ArgumentParser:
     diag = subs.add_parser("diag").add_subparsers(dest="op", required=True)
     p = diag.add_parser("grid")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument(
+        "--cap", type=int, default=GRID_NODE_CAP,
+        help="grid search nodes to visit before the result is a lower bound "
+        "(default %(default)s)",
+    )
     p.set_defaults(handler=_cmd_diag_grid)
     p = diag.add_parser("rect")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=50_000)
+    p.add_argument(
+        "--cap", type=int, default=RECT_STATE_CAP,
+        help="distinct separation masks to examine before the result is a "
+        "lower bound (default %(default)s)",
+    )
     p.set_defaults(handler=_cmd_diag_rect)
     p = diag.add_parser("delta")
     p.add_argument("file")

@@ -31,7 +31,12 @@ LOWER_BOUND = "lower_bound"
 
 DELTA_SIZE_LIMIT = 400
 GRID_NODE_CAP = 200_000
-RECT_STATE_CAP = 50_000
+# separation masks examined by max_thick_rectangle: the 32x32-vertex grid
+# (247 008 masks) stays exact, and a capped run on 4 000 vertices adds about
+# 2 s to the hyperplane tables (measured table in CHANGES.md)
+RECT_STATE_CAP = 250_000
+# embeddings grown by the exhaustive flat_rectangles enumeration
+FLAT_STATE_CAP = 50_000
 CYCLE_COUNT_CAP = 10**6
 
 
@@ -246,6 +251,12 @@ class FlatRectangle:
 
 @dataclass(frozen=True)
 class RectangleReport:
+    """Pareto-maximal flat rectangle sizes; ``best`` is the thickest one.
+
+    ``states`` is the number of distinct separation masks examined, at most
+    the cap; the result is exact when every mask was seen.
+    """
+
     thickness: int
     best: FlatRectangle | None
     pareto: tuple[tuple[int, int], ...]  # (a, b) with a <= b
@@ -254,16 +265,22 @@ class RectangleReport:
 
 
 def verify_flat_rectangle(g: MedianGraph, rect: FlatRectangle) -> None:
-    """Full isometric-embedding re-check of a rectangle witness."""
+    """Full isometric-embedding re-check of a rectangle witness: every pair
+    of cells must be as far apart in g as in the a-by-b grid."""
     d = g.dist
-    cells = [
-        (i, j) for i in range(rect.a + 1) for j in range(rect.b + 1)
-    ]
-    idx = {c: g.index[rect.embedding[c[0]][c[1]]] for c in cells}
-    for (i1, j1), (i2, j2) in itertools.combinations(cells, 2):
-        if d[idx[(i1, j1)], idx[(i2, j2)]] != abs(i1 - i2) + abs(j1 - j2):
+    idx = np.array(
+        [[g.index[v] for v in col] for col in rect.embedding], dtype=np.intp
+    ).reshape(rect.a + 1, rect.b + 1)
+    jj = np.arange(rect.b + 1)
+    ii = np.arange(rect.a + 1)
+    for i in range(rect.a + 1):
+        # cells of column i against every cell, one block per column
+        want = np.abs(i - ii)[None, :, None] + np.abs(jj[:, None] - jj)[:, None, :]
+        bad = np.argwhere(d[np.ix_(idx[i], idx.ravel())].reshape(want.shape) != want)
+        if len(bad):
+            j1, i2, j2 = (int(t) for t in bad[0])
             raise ConsistencyError(
-                f"embedding is not isometric at cells {(i1, j1)} and {(i2, j2)}"
+                f"embedding is not isometric at cells {(i, j1)} and {(i2, j2)}"
             )
 
 
@@ -322,9 +339,13 @@ def _extend_right(g: MedianGraph, emb):
 
 
 def flat_rectangles(
-    g: MedianGraph, cap: int = RECT_STATE_CAP
+    g: MedianGraph, cap: int = FLAT_STATE_CAP
 ) -> tuple[list[FlatRectangle], str, int]:
-    """Every flat rectangle of g (dedup by vertex set), grown from squares."""
+    """Every flat rectangle of g (dedup by vertex set), grown from squares.
+
+    This exhaustive enumeration serves the checks that need every rectangle's
+    vertex set; sizes alone come cheaper from `max_thick_rectangle`.
+    """
     g.require_median()
     adj = g.adj
     start = []
@@ -370,24 +391,131 @@ def flat_rectangles(
     return list(by_set.values()), EXACT if exact else LOWER_BOUND, states
 
 
-def max_thick_rectangle(g: MedianGraph, cap: int = RECT_STATE_CAP) -> RectangleReport:
-    rects, method, states = flat_rectangles(g, cap)
-    best = None
-    for r in rects:
-        key = (min(r.a, r.b), max(r.a, r.b))
-        if best is None or key > (min(best.a, best.b), max(best.a, best.b)):
-            best = r
-    if best is not None:
-        verify_flat_rectangle(g, best)
-    dims = sorted({(min(r.a, r.b), max(r.a, r.b)) for r in rects})
-    pareto = tuple(
-        k
-        for k in dims
-        if not any(k2 != k and k2[0] >= k[0] and k2[1] >= k[1] for k2 in dims)
+def _split_components(ws: WallSystem, mask: int, memo: dict[int, int]) -> list[int]:
+    """Components of the non-transverse graph on the walls of `mask`.
+
+    Each component grows by whole BFS levels; the walls disjoint from some
+    wall of a level are an OR over the level, memoised in `memo` because
+    products repeat the same levels across many masks.
+    """
+    dis = ws._disjoint_int
+    comps = []
+    rest = mask
+    while rest:
+        comp = level = rest & -rest
+        rest ^= comp
+        while level and rest:
+            if level & (level - 1):
+                reach = memo.get(level)
+                if reach is None:
+                    reach = 0
+                    bits = level
+                    while bits:
+                        low = bits & -bits
+                        reach |= dis[low.bit_length() - 1]
+                        bits ^= low
+                    memo[level] = reach
+            else:
+                reach = dis[level.bit_length() - 1]
+            level = reach & rest
+            rest ^= level
+            comp |= level
+        comps.append(comp)
+    return comps
+
+
+def _rectangle_witness(
+    g: MedianGraph, mask: int, rep: tuple[int, int], a: int
+) -> FlatRectangle:
+    """The a-by-b rectangle with corner rep[0] spanned by a split of `mask`.
+
+    A union of components of size a is one side A; each side is walked in
+    order of halfspace size toward the corner, so cell (i, j) is the vertex
+    whose halfspace column is the corner's with the first i walls of A and
+    the first j walls of B flipped.
+    """
+    ws = g.wall_system
+    reach = {0: 0}
+    for comp in _split_components(ws, mask, {}):
+        size = comp.bit_count()
+        for t, side in list(reach.items()):
+            reach.setdefault(t + size, side | comp)
+    walls_a, walls_b = (
+        [j for j in range(ws.h) if (m >> j) & 1]
+        for m in (reach[a], mask & ~reach[a])
     )
-    thickness = min(best.a, best.b) if best is not None else 0
+    walls_a = ws.order_chain(walls_a, rep)
+    walls_b = ws.order_chain(walls_b, rep)
+    vertex = {col.tobytes(): v for v, col in enumerate(np.packbits(ws.sides, axis=0).T)}
+    emb = []
+    for i in range(len(walls_a) + 1):
+        col = ws.sides[:, rep[0]].copy()
+        col[list(walls_a[:i])] ^= True
+        cells = []
+        for j in range(len(walls_b) + 1):
+            if j:
+                col[walls_b[j - 1]] ^= True
+            v = vertex.get(np.packbits(col).tobytes())
+            if v is None:
+                raise ConsistencyError(f"no vertex at rectangle cell {(i, j)}")
+            cells.append(g.ids[v])
+        emb.append(tuple(cells))
+    return FlatRectangle(a=len(walls_a), b=len(walls_b), embedding=tuple(emb))
+
+
+def max_thick_rectangle(g: MedianGraph, cap: int = RECT_STATE_CAP) -> RectangleReport:
+    """Pareto-maximal flat rectangle sizes (a <= b) and a thickest witness.
+
+    In a median graph an a-by-b flat rectangle with corners v, w exists iff
+    the hyperplanes S(v, w) separating them split into sides of sizes a and
+    b with every hyperplane of one side crossing every one of the other.
+    Such sides are unions of components of the non-transverse graph on
+    S(v, w), so one subset sum over component sizes per distinct
+    separation mask gives every size, with no search.  ``states`` counts
+    the masks examined; past `cap` masks the result is a lower bound from
+    the masks seen.
+    """
+    g.require_median()
+    ws = g.wall_system
+    sizes: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+    memo: dict[int, int] = {}
+    states = 0
+    exact = True
+    # without two crossing hyperplanes no mask splits, so none need be read
+    for mask, rep in ws.iter_pairs() if ws.transverse.any() else ():
+        if states >= cap:
+            exact = False
+            break
+        states += 1
+        comps = _split_components(ws, mask, memo)
+        if len(comps) < 2:
+            continue
+        reach = 1
+        for comp in comps:
+            reach |= reach << comp.bit_count()
+        k = mask.bit_count()
+        # achievable smaller sides: the subset sums 1 .. k // 2
+        reach &= (2 << (k // 2)) - 2
+        while reach:
+            low = reach & -reach
+            a = low.bit_length() - 1
+            sizes.setdefault((a, k - a), (mask, rep))
+            reach ^= low
+    pareto = []
+    for a, b in sorted(sizes, reverse=True):
+        if not pareto or b > pareto[-1][1]:
+            pareto.append((a, b))
+    pareto.reverse()
+    best = None
+    if pareto:
+        best = _rectangle_witness(g, *sizes[pareto[-1]], pareto[-1][0])
+        verify_flat_rectangle(g, best)
     return RectangleReport(
-        thickness=thickness, best=best, pareto=pareto, method=method, states=states
+        thickness=best.a if best is not None else 0,
+        best=best,
+        pareto=tuple(pareto),
+        method=EXACT if exact else LOWER_BOUND,
+        states=states,
     )
 
 
@@ -416,15 +544,16 @@ def delta(
     size_limit: int = DELTA_SIZE_LIMIT,
 ) -> DeltaReport:
     """Four-point hyperbolicity constant: max over 4-tuples of the defect
-    between the two largest pair sums, halved."""
-    d = g.dist_matrix(metric).astype(np.int64)
+    between the two largest pair sums, halved.  The size cap is checked
+    before the metric table is built."""
     n = g.n
+    if n > size_limit and sample is None:
+        raise SizeCapError(
+            f"exact four-point scan is capped at {size_limit} vertices "
+            f"(got {n}); pass a sample size for a lower bound"
+        )
+    d = g.dist_matrix(metric).astype(np.int64)
     if n > size_limit:
-        if sample is None:
-            raise SizeCapError(
-                f"exact four-point scan is capped at {size_limit} vertices "
-                f"(got {n}); pass a sample size for a lower bound"
-            )
         rng = random.Random(seed)
         best, wit = 0, None
         for _ in range(sample):
@@ -469,9 +598,18 @@ def bigon_thinness(
     """Thinness of geodesic bigons of g, measured in the chosen metric.
 
     Geodesics are always taken in g itself; LINF measures their divergence
-    in the cube cone-off metric (g must be median for that).
+    in the cube cone-off metric (g must be median for that).  The size cap
+    is checked before the metric table is built.
     """
+    _check_bigon_size(g, size_limit)
     return bigon_thinness_in(g, g.dist_matrix(metric), size_limit)
+
+
+def _check_bigon_size(g: MedianGraph, size_limit: int) -> None:
+    if g.n > size_limit:
+        raise SizeCapError(
+            f"bigon scan is capped at {size_limit} vertices (got {g.n})"
+        )
 
 
 def bigon_thinness_in(
@@ -485,10 +623,7 @@ def bigon_thinness_in(
     to y of min over q in gamma of measure(p, q); a backwards DP over the
     geodesic DAG computes F for every interval basepoint p at once.
     """
-    if g.n > size_limit:
-        raise SizeCapError(
-            f"bigon scan is capped at {size_limit} vertices (got {g.n})"
-        )
+    _check_bigon_size(g, size_limit)
     if measure.shape != (g.n, g.n):
         raise GraphInputError("measure matrix shape does not match the graph")
     n = g.n

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,21 +191,47 @@ class WallSystem:
     def pairs(self) -> list[tuple[int, tuple[int, int]]]:
         """Distinct separation masks, one representative vertex pair each."""
         if self._pairs is None:
-            found: dict[bytes, tuple[int, tuple[int, int]]] = {}
-            s = self.sides
-            for x in range(self.nv):
-                diff = s != s[:, x : x + 1]
-                packed = np.packbits(diff, axis=0)
-                for y in range(x + 1, self.nv):
-                    key = packed[:, y].tobytes()
-                    if key in found or not any(key):
-                        continue
-                    m = 0
-                    for j in np.flatnonzero(diff[:, y]):
-                        m |= 1 << int(j)
-                    found[key] = (m, (x, y))
-            self._pairs = list(found.values())
+            self._pairs = list(self.iter_pairs())
         return self._pairs
+
+    def iter_pairs(self) -> Iterator[tuple[int, tuple[int, int]]]:
+        """The distinct separation masks, each with the first pair (x, y),
+        x < y, in row order that has it; zero masks are skipped.
+
+        Pairs are deduplicated with numpy in blocks of rows, so a caller that
+        stops early pays only for the blocks it read.  A full pass caches the
+        list as ``pairs``.
+        """
+        if self._pairs is not None:
+            yield from self._pairs
+            return
+        nv = self.nv
+        # each vertex's halfspace column packed into 64-bit words, bit j of
+        # the little-endian integer being wall j; a pair's key is the XOR
+        width = max(1, -(-self.h // 64))
+        step = 8 * width
+        packed = np.zeros((nv, step), dtype=np.uint8)
+        packed[:, : -(-self.h // 8)] = np.packbits(self.sides, axis=0, bitorder="little").T
+        words = packed.view(np.uint64)
+        void = np.dtype((np.void, step))
+        block = max(1, _BLOCK_CELLS // (nv * width))
+        found = []
+        seen = set()
+        for x0 in range(0, nv - 1, block):
+            rows = np.arange(x0, min(nv, x0 + block))
+            xs, ys = np.nonzero(rows[:, None] < np.arange(nv))
+            xs += x0
+            keys = words[xs] ^ words[ys]
+            _, first = np.unique(keys.view(void).ravel(), return_index=True)
+            first.sort()
+            raw = keys[first].tobytes()
+            for t, x, y in zip(range(0, len(raw), step), xs[first].tolist(), ys[first].tolist()):
+                m = int.from_bytes(raw[t : t + step], "little")
+                if m and m not in seen:
+                    seen.add(m)
+                    found.append((m, (x, y)))
+                    yield found[-1]
+        self._pairs = found
 
     def order_chain(self, members, rep: tuple[int, int]) -> tuple[int, ...]:
         """Order a chain by halfspace nesting toward the first pair vertex."""
@@ -537,12 +563,15 @@ class MedianGraph:
     def transverse(self) -> np.ndarray:
         """Boolean (H, H) table: all four quarter-space intersections nonempty."""
         if "transverse" not in self._cache:
-            s = self.sides.astype(np.int32)
-            t = 1 - s
-            c11 = s @ s.T
-            c10 = s @ t.T
-            c00 = t @ t.T
-            trans = (c11 > 0) & (c10 > 0) & (c10.T > 0) & (c00 > 0)
+            # one float32 product (exact: every count is at most n < 2**24);
+            # the other three quarter-space counts follow from side sizes
+            s = self.sides.astype(np.float32)
+            size = s.sum(axis=1)
+            both = s @ s.T
+            trans = both > 0
+            trans &= both < size[:, None]
+            trans &= both < size[None, :]
+            trans &= both > size[:, None] + size[None, :] - self.n
             np.fill_diagonal(trans, False)
             self._cache["transverse"] = trans
         return self._cache["transverse"]

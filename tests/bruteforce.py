@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
+
 
 def adj_dict(g) -> dict[str, set[str]]:
     out = {v: set() for v in g.ids}
@@ -121,6 +123,25 @@ def pairwise_disjoint_family(transverse, candidates: list[int], size: int):
         if all(not transverse[a, b] for a, b in itertools.combinations(combo, 2)):
             return combo
     return None
+
+
+def wall_pairs_brute(sides) -> list[tuple[int, tuple[int, int]]]:
+    """Distinct separation masks of a halfspace table, pair by pair: each
+    mask with its first pair (x, y), x < y, in row order; zero masks skipped."""
+    found: dict[bytes, tuple[int, tuple[int, int]]] = {}
+    s = np.asarray(sides, dtype=bool)
+    for x in range(s.shape[1]):
+        diff = s != s[:, x : x + 1]
+        packed = np.packbits(diff, axis=0)
+        for y in range(x + 1, s.shape[1]):
+            key = packed[:, y].tobytes()
+            if key in found or not any(key):
+                continue
+            m = 0
+            for j in np.flatnonzero(diff[:, y]):
+                m |= 1 << int(j)
+            found[key] = (m, (x, y))
+    return list(found.values())
 
 
 def grid_pareto_bruteforce(sides, transverse) -> set[tuple[int, int]]:

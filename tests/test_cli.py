@@ -1,5 +1,6 @@
 """End-to-end tests for the cubekit command line tool."""
 
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cubekit import cli, median
+from cubekit import cli, diagnostics, median
 from cubekit.errors import ConsistencyError
 from cubekit.formats import parse_graph
 from cubekit.median import MedianGraph
@@ -170,6 +171,33 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "delta", broken)
         assert cli.main(["diag", "delta", files("g", SQUARE)]) == 3
         assert "cross-check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["delta", "bigon"])
+    @pytest.mark.parametrize("metric", ["l1", "linf"])
+    def test_metric_size_cap_is_four_before_any_table(
+        self, op, metric, files, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(
+            MedianGraph, "dist_matrix", lambda self, m="l1": built.append(m)
+        )
+        call = diagnostics.delta if op == "delta" else diagnostics.bigon_thinness
+        monkeypatch.setattr(
+            cli, "delta" if op == "delta" else "bigon_thinness",
+            functools.partial(call, size_limit=3),
+        )
+        argv = ["diag", op, files("g", SQUARE), "--metric", metric]
+        assert cli.main(argv) == 4
+        assert "capped at 3 vertices" in capsys.readouterr().err
+        assert built == []
+
+
+def test_search_cap_defaults_are_the_library_constants():
+    parser = cli._build_parser()
+    grid = parser.parse_args(["diag", "grid", "g"])
+    rect = parser.parse_args(["diag", "rect", "g"])
+    assert grid.cap == diagnostics.GRID_NODE_CAP
+    assert rect.cap == diagnostics.RECT_STATE_CAP
 
 
 def test_import_does_not_load_scipy():

@@ -8,6 +8,7 @@ import pytest
 
 import bruteforce as bf
 import fixtures as fx
+from cubekit import diagnostics
 from cubekit.diagnostics import (
     APEX,
     CLIQUE,
@@ -35,6 +36,7 @@ from cubekit.diagnostics import (
 from cubekit.errors import (
     ConsistencyError,
     GraphInputError,
+    NotMedianError,
     SizeCapError,
     ValidationError,
 )
@@ -194,6 +196,12 @@ def test_tree_has_no_rectangle():
     assert rep.pareto == ()
 
 
+def test_tree_rectangles_are_exact_past_the_mask_cap():
+    # a tree has more masks than the cap but no crossing hyperplanes
+    rep = max_thick_rectangle(fx.random_tree(60, random.Random(7)), cap=10)
+    assert (rep.method, rep.pareto, rep.states) == (EXACT, (), 0)
+
+
 def test_cube_rectangles():
     rep = max_thick_rectangle(fx.hypercube(4))
     assert rep.thickness == 2
@@ -244,6 +252,100 @@ def test_rectangle_cap_degrades_to_lower_bound():
     _, method, states = flat_rectangles(fx.grid_graph(6, 6), cap=10)
     assert method == LOWER_BOUND
     assert states > 0
+
+
+def _pareto(dims):
+    return tuple(
+        sorted(
+            k
+            for k in dims
+            if not any(k2 != k and k2[0] >= k[0] and k2[1] >= k[1] for k2 in dims)
+        )
+    )
+
+
+def _tree_path_cube_products(count, seed, max_n):
+    """Seeded products of one to three trees, paths and cubes, n <= max_n."""
+    rng = random.Random(seed)
+    factors = [
+        lambda: fx.random_tree(rng.randint(2, 7), rng),
+        lambda: fx.path_graph(rng.randint(1, 4)),
+        lambda: fx.hypercube(rng.randint(1, 3)),
+    ]
+    out = []
+    while len(out) < count:
+        g = rng.choice(factors)()
+        for _ in range(rng.randint(0, 2)):
+            g = fx.product_graph(g, rng.choice(factors)())
+        if g.n <= max_n:
+            out.append(g)
+    return out
+
+
+def test_split_rule_matches_both_oracles_on_products():
+    # the hyperplane split rule against the subset brute force and against
+    # the exhaustive rectangle enumeration, with every witness re-checked
+    graphs = _tree_path_cube_products(110, 2027, 20)
+    thick = 0
+    for g in graphs:
+        rep = max_thick_rectangle(g)
+        assert rep.method == EXACT
+        assert rep.pareto == _pareto(bf.rectangle_sizes_bruteforce(g)), g.ids
+        rects, method, _ = flat_rectangles(g)
+        assert method == EXACT
+        assert rep.pareto == _pareto({(min(r.a, r.b), max(r.a, r.b)) for r in rects})
+        if rep.best is None:
+            assert rep.thickness == 0 and rep.pareto == ()
+            continue
+        assert (rep.best.a, rep.best.b) == rep.pareto[-1]
+        assert rep.thickness == rep.best.a
+        verify_flat_rectangle(g, rep.best)
+        thick += rep.thickness >= 2
+    # the sample is not all trees and strips
+    assert thick >= 10
+
+
+def test_rectangle_baseline_cases_are_exact():
+    rep = max_thick_rectangle(fx.grid_graph(13, 13))
+    assert (rep.method, rep.thickness, rep.pareto) == (EXACT, 13, ((13, 13),))
+    verify_flat_rectangle(fx.grid_graph(13, 13), rep.best)
+    rep = max_thick_rectangle(fx.hypercube(7))
+    assert rep.method == EXACT
+    assert rep.pareto == ((1, 6), (2, 5), (3, 4))
+    assert rep.states == 2**7 - 1
+
+
+def test_rectangle_mask_cap_gives_a_lower_bound():
+    for g in (fx.grid_graph(6, 6), fx.hypercube(5), fx.staircase(6)):
+        truth = max_thick_rectangle(g)
+        assert truth.method == EXACT
+        for cap in (1, 5, truth.states - 1):
+            rep = max_thick_rectangle(g, cap=cap)
+            assert rep.method == LOWER_BOUND
+            assert rep.states == cap
+            assert rep.thickness <= truth.thickness
+            for a, b in rep.pareto:
+                assert any(a <= a2 and b <= b2 for a2, b2 in truth.pareto)
+            if rep.best is not None:
+                verify_flat_rectangle(g, rep.best)
+        assert max_thick_rectangle(g, cap=truth.states).method == EXACT
+
+
+def test_rectangle_split_rule_needs_no_cube_scan(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not on the split-rule path")
+
+    monkeypatch.setattr(MedianGraph, "cubes", forbidden)
+    monkeypatch.setattr(diagnostics, "flat_rectangles", forbidden)
+    monkeypatch.setattr(diagnostics, "_extend_right", forbidden)
+    rep = max_thick_rectangle(fx.product_graph(fx.grid_graph(3, 2), fx.hypercube(2)))
+    assert (rep.thickness, rep.pareto) == (3, ((1, 6), (2, 5), (3, 4)))
+
+
+@pytest.mark.parametrize("build", [fx.k23, fx.c6_with_chord])
+def test_rectangle_refuses_non_median(build):
+    with pytest.raises(NotMedianError):
+        max_thick_rectangle(build())
 
 
 def test_grid_thinness_bounded_by_rectangle_thickness_plus_one():
@@ -374,6 +476,27 @@ def test_bigon_thinness_matches_bruteforce_staircase():
 def test_bigon_size_cap():
     with pytest.raises(SizeCapError):
         bigon_thinness(fx.path_graph(450))
+
+
+@pytest.mark.parametrize("metric", [L1, LINF])
+def test_size_caps_are_checked_before_the_metric_table(metric, monkeypatch):
+    built = []
+    table = MedianGraph.dist_matrix
+
+    def spy(self, m=L1):
+        built.append(m)
+        return table(self, m)
+
+    monkeypatch.setattr(MedianGraph, "dist_matrix", spy)
+    g = fx.grid_graph(3, 3)
+    with pytest.raises(SizeCapError):
+        delta(g, metric, size_limit=10)
+    with pytest.raises(SizeCapError):
+        bigon_thinness(g, metric, size_limit=10)
+    assert built == []
+    # the sampled four-point scan still runs above the limit
+    assert delta(g, metric, sample=20, size_limit=10).method == LOWER_BOUND
+    assert built == [metric]
 
 
 def test_external_measure_shape_is_checked():

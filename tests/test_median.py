@@ -303,6 +303,43 @@ def test_wall_system_is_cached_over_the_hyperplane_tables():
     assert ws.transverse is g.transverse
 
 
+def test_transverse_means_four_nonempty_quarters():
+    graphs = list(FIX.values()) + [product_graph(random_tree(9, random.Random(4)), hypercube(2))]
+    for g in graphs:
+        s = g.sides
+        for i, j in itertools.product(range(g.hyperplane_count), repeat=2):
+            quarters = [(s[i] == a) & (s[j] == b) for a in (True, False) for b in (True, False)]
+            assert g.transverse[i, j] == (i != j and all(q.any() for q in quarters)), (g, i, j)
+
+
+def test_wall_pairs_match_pairwise_oracle():
+    # same masks, same representative pairs, same first-occurrence order
+    rng = random.Random(2026)
+    graphs = list(FIX.values())
+    while len(graphs) < len(FIX) + 40:
+        p = product_graph(
+            rng.choice([path_graph, hypercube])(rng.randint(1, 3)),
+            random_tree(rng.randint(2, 8), rng),
+        )
+        for _ in range(rng.randint(0, 1)):
+            p = product_graph(p, path_graph(rng.randint(1, 3)))
+        graphs.append(p)
+    for g in graphs:
+        ws = median.WallSystem(g.sides, g.transverse)
+        assert ws.pairs == bf.wall_pairs_brute(g.sides), g
+    # more than 64 walls take more than one packed word per vertex
+    for g in (random_tree(90, rng), product_graph(path_graph(70), path_graph(1))):
+        assert g.wall_system.pairs == bf.wall_pairs_brute(g.sides)
+
+
+def test_wall_pairs_stop_early_without_caching():
+    ws = median.WallSystem(FIX["grid_6x6"].sides, FIX["grid_6x6"].transverse)
+    head = list(itertools.islice(ws.iter_pairs(), 10))
+    assert ws._pairs is None
+    assert head == ws.pairs[:10]
+    assert list(ws.iter_pairs()) == ws.pairs
+
+
 def test_halfspaces_are_convex():
     for name in ["grid_3x2", "cube3", "staircase"]:
         g = FIX[name]
