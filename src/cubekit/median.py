@@ -7,7 +7,9 @@ dictionary is available combinatorially:
 
 - hyperplanes are classes of edges under the "opposite sides of a square"
   relation, and each one cuts the graph into two convex halfspaces;
-- cubes are intervals I(u, v) whose separating hyperplanes pairwise cross;
+- the cubes with gate v toward a base vertex are the sets of pairwise crossing
+  hyperplanes among the edges leaving v away from the base (links are flag
+  and hyperplanes do not inter-osculate), so each cube is listed once;
 - the piecewise-ell_infinity distance between vertices is the graph distance in
   the cone-off where any two vertices of a common cube are joined by an edge,
   and it equals the longest chain of pairwise disjoint separating hyperplanes;
@@ -74,15 +76,15 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def _pairs_within(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pairs_within(groups: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j with groups[i] == groups[j] for a sorted array,
-    ordered by i and then j."""
+    ordered by i and then j, as `dtype` (which must hold the pair count)."""
     starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
     size = np.diff(np.r_[starts, len(groups)])
     later = np.repeat(starts + size, size) - np.arange(len(groups)) - 1
-    first = np.repeat(np.arange(len(groups)), later)
-    second = np.arange(1, len(first) + 1)
-    second -= np.repeat(np.cumsum(later) - later, later)
+    first = np.repeat(np.arange(len(groups), dtype=dtype), later)
+    second = np.arange(1, len(first) + 1, dtype=dtype)
+    second -= np.repeat((np.cumsum(later) - later).astype(dtype), later)
     second += first
     return first, second
 
@@ -134,6 +136,14 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class Cube:
+    """A cube subgraph with the (sorted) indices of its hyperplanes.
+
+    ``corners`` is the cube's lowest-index vertex and its antipode in the
+    cube.  ``maximal`` is true when no larger cube contains this one, that is
+    when at any one vertex of the cube no other edge has a hyperplane crossing
+    all of the cube's hyperplanes.
+    """
+
     dimension: int
     vertices: frozenset[str]
     hyperplanes: tuple[int, ...]
@@ -428,8 +438,10 @@ class MedianGraph:
         if level.size:
             a, b = e[level[0]]
             return 0, int(a), int(b)
-        # directed edges ("slots") sorted by tail, then head
-        tail, head = np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]]
+        # directed edges ("slots") sorted by tail, then head; int32 indices
+        # and keys suffice, since n <= IS_MEDIAN_CAP gives n * n < 2**31
+        tail = np.r_[e[:, 0], e[:, 1]].astype(np.int32)
+        head = np.r_[e[:, 1], e[:, 0]].astype(np.int32)
         order = np.lexsort((head, tail))
         tail, head = tail[order], head[order]
         # paths v - x - w as pairs i < j of slots of x; without a K_{2,3} a
@@ -437,28 +449,32 @@ class MedianGraph:
         # paths hold a K_{2,3} and the tails past that count are not needed
         deg = np.bincount(tail, minlength=n)
         stop = np.searchsorted(np.cumsum(deg * (deg - 1) // 2), n * (n - 1), "right")
-        i, j = _pairs_within(tail[tail <= stop])
+        i, j = _pairs_within(tail[tail <= stop], np.int32)
         if not i.size:
             return None
-        key = head[i] * n + head[j]
+        key = head[i]
+        key *= n
+        key += head[j]
         del j
         by_pair = np.argsort(key, kind="stable")
-        key = key[by_pair]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key.sort()
+        # same[p]: sorted paths p and p + 1 join the same pair
+        same = key[1:] == key[:-1]
         del key
-        counts = np.diff(starts, append=len(i))
         # K_{2,3}: a pair with common neighbours z, x1, x2 leaves (z, x1, x2)
         # with both members of the pair as medians
-        wide = np.flatnonzero(counts >= 3)
+        wide = np.flatnonzero(same[1:] & same[:-1])
         if wide.size:
-            z, x1, x2 = tail[i[by_pair[starts[wide[0]] + np.arange(3)]]]
+            z, x1, x2 = tail[i[by_pair[wide[0] + np.arange(3)]]]
             return int(z), int(x1), int(x2)
-        # the other common neighbour of each path's pair, or -1
-        twin = np.full(len(i), -1)
-        pairs = by_pair[starts[counts == 2][:, None] + [0, 1]]
+        # the other common neighbour of each path's pair, or -1; a pair now
+        # has at most two paths, next to each other in key order
+        twin = np.full(len(i), -1, dtype=np.int32)
+        pairs = by_pair[np.flatnonzero(same)[:, None] + [0, 1]]
         twin[pairs] = tail[i[pairs[:, ::-1]]]
         # the path on slots (a, b) has index path_of[a] + b
-        path_of = np.searchsorted(i, np.arange(len(tail))) - np.arange(len(tail)) - 1
+        slots = np.arange(len(tail), dtype=np.int32)
+        path_of = np.searchsorted(i, slots) - slots - 1
         # quadrangle condition: two neighbours v, w of x, both one step nearer
         # to a root u, need a common neighbour nearer still; only the twin of
         # x can be, else the triple (u, v, w) has no median
@@ -629,69 +645,101 @@ class MedianGraph:
 
     def cubes(self) -> list[Cube]:
         """Inventory of all cube subgraphs (dimension >= 1; a K1 graph reports
-        its vertex as the single 0-cube).  Cubes are intervals I(u, v) whose
-        separating hyperplanes pairwise cross."""
+        its vertex as the single 0-cube), by falling dimension and then by
+        sorted vertex ids.
+
+        Each cube is found once, at its gate v toward vertex 0: the cubes gated
+        at v are exactly the sets of pairwise crossing hyperplanes among the
+        edges from v away from vertex 0, since links are flag and hyperplanes
+        do not inter-osculate.  The cube's vertices are reached from v by
+        crossing each subset of those hyperplanes.
+        """
         if "cubes" not in self._cache:
-            self._cache["cubes"] = self._cube_scan()
+            self._cache["cubes"], self._cache["maximal_cube_rows"] = self._up_link_cubes()
         return self._cache["cubes"]
 
     def maximal_cubes(self) -> list[Cube]:
         return [c for c in self.cubes() if c.maximal]
 
-    def _cube_scan(self) -> list[Cube]:
+    def _up_link_cubes(self) -> tuple[list[Cube], list[np.ndarray]]:
+        """The cube inventory, and the vertex indices of the maximal cubes as
+        one (count, 2**k) array per dimension k."""
         self.require_median()
         if not self.edges:
-            return [Cube(0, frozenset({self.ids[0]}), (), (self.ids[0], self.ids[0]), True)]
-        d = self.dist
-        s = self.sides
-        trans = self.transverse
-        edge_class = self._hyperplane_data()["edge_class"]
-        max_deg = max(len(a) for a in self.adj)
-        seen: dict[frozenset[int], tuple[int, tuple[int, ...], tuple[int, int]]] = {}
-        for u in range(self.n):
-            near = np.flatnonzero((d[u] >= 1) & (d[u] <= max_deg))
-            for v in near:
-                v = int(v)
-                if v <= u:
-                    continue
-                sep = np.flatnonzero(s[:, u] != s[:, v])
-                k = len(sep)
-                if k != d[u, v]:
-                    raise ConsistencyError("separating count disagrees with distance")
-                sub = trans[np.ix_(sep, sep)]
-                if k > 1 and not (sub | np.eye(k, dtype=bool)).all():
-                    continue
-                verts = frozenset(
-                    int(i) for i in np.flatnonzero((d[u] + d[v]) == d[u, v])
-                )
-                if len(verts) != 2**k:
-                    raise ConsistencyError("cube interval has the wrong vertex count")
-                if verts not in seen:
-                    seen[verts] = (k, tuple(int(j) for j in sep), (u, v))
-        cubes = []
-        for verts, (k, hs, (u, v)) in seen.items():
-            hs_set = set(hs)
-            maximal = True
-            for w in self.adj[v]:
-                if w in verts:
-                    continue
-                ek = int(edge_class[self.edge_index[(min(v, w), max(v, w))]])
-                if ek in hs_set:
-                    continue
-                if all(trans[ek, j] for j in hs):
-                    maximal = False
-                    break
-            cubes.append(
-                Cube(
-                    dimension=k,
-                    vertices=frozenset(self.ids[i] for i in verts),
-                    hyperplanes=hs,
-                    corners=(self.ids[u], self.ids[v]),
-                    maximal=maximal,
-                )
-            )
-        cubes.sort(key=lambda c: (-c.dimension, sorted(c.vertices)))
-        return cubes
+            only = self.ids[0]
+            point = Cube(0, frozenset({only}), (), (only, only), True)
+            return [point], [np.zeros((1, 1), dtype=np.intp)]
+        n, h = self.n, self.hyperplane_count
+        level = self.dist[0]
+        trans = self.wall_system._trans_int
+        e = np.array(self.edges, dtype=np.intp)
+        tail, head = np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]]
+        cls = np.tile(self._hyperplane_data()["edge_class"].astype(np.intp), 2)
+        # (vertex, hyperplane) -> neighbour across it, as a sorted key table
+        key = tail * h + cls
+        order = np.argsort(key)
+        key, across = key[order], head[order]
+        # hyperplanes of all edges at each vertex, and of its up-edges
+        at, up = [0] * n, [0] * n
+        rising = level[head] > level[tail]
+        for t, c, r in zip(tail.tolist(), cls.tolist(), rising.tolist()):
+            at[t] |= 1 << c
+            if r:
+                up[t] |= 1 << c
+        # cliques of up-hyperplanes, grown in increasing index order so each is
+        # met once; `common` holds the hyperplanes at v crossing all members,
+        # so the cube is maximal iff it is empty
+        found: dict[int, tuple[list[int], list[int], list[bool]]] = {}
+        for v in range(n):
+            stack = [((), at[v], up[v])]
+            while stack:
+                members, common, ext = stack.pop()
+                while ext:
+                    low = ext & -ext
+                    ext ^= low
+                    j = low.bit_length() - 1
+                    grown, narrowed, rest = members + (j,), common & trans[j], ext & trans[j]
+                    gates, flat, maximal = found.setdefault(len(grown), ([], [], []))
+                    gates.append(v)
+                    flat.extend(grown)
+                    maximal.append(not narrowed)
+                    if rest:
+                        stack.append((grown, narrowed, rest))
+        rank = np.empty(n, dtype=np.intp)
+        rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+        names = np.array(self.ids, dtype=object)
+        cubes: list[Cube] = []
+        maximal_rows = []
+        for k in sorted(found, reverse=True):
+            gates, flat, maximal = found[k]
+            hs = np.array(flat, dtype=np.intp).reshape(-1, k)
+            # column `bits` of a row is the corner reached by crossing the
+            # hyperplanes hs[bits]; it is one step on from the corner without
+            # the lowest of them
+            verts = np.empty((len(gates), 1 << k), dtype=np.intp)
+            verts[:, 0] = gates
+            for bits in range(1, 1 << k):
+                b = (bits & -bits).bit_length() - 1
+                want = verts[:, bits ^ (1 << b)] * h + hs[:, b]
+                pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
+                if (key[pos] != want).any():
+                    raise ConsistencyError("a cube corner is missing")
+                verts[:, bits] = across[pos]
+            ranked = np.sort(rank[verts], axis=1)
+            if (ranked[:, 1:] == ranked[:, :-1]).any():
+                raise ConsistencyError("a cube has the wrong vertex count")
+            order = np.lexsort(ranked.T[::-1])
+            verts, hs, maximal = verts[order], hs[order], np.array(maximal)[order]
+            col = verts.argmin(axis=1)
+            rows = np.arange(len(verts))
+            first, far = verts[rows, col], verts[rows, col ^ ((1 << k) - 1)]
+            for vs, hp, a, z, mx in zip(
+                names[verts].tolist(), hs.tolist(), names[first].tolist(),
+                names[far].tolist(), maximal.tolist(),
+            ):
+                cubes.append(Cube(k, frozenset(vs), tuple(hp), (a, z), mx))
+            maximal_rows.append(verts[maximal])
+        return cubes, maximal_rows
 
     def _hyperplane_dimensions(self) -> list[int]:
         dims = [1] * self.hyperplane_count
@@ -705,10 +753,12 @@ class MedianGraph:
     def linf_adjacency(self) -> np.ndarray:
         """Boolean adjacency of the cube cone-off: u ~ v iff a common cube."""
         if "linf_adj" not in self._cache:
+            self.cubes()
             adj = np.zeros((self.n, self.n), dtype=bool)
-            for cube in self.maximal_cubes():
-                idx = self.indices_of(sorted(cube.vertices))
-                adj[np.ix_(idx, idx)] = True
+            # every maximal cube of a dimension at once: row r sets the block
+            # of its vertices, as adj[np.ix_(row, row)] would
+            for rows in self._cache["maximal_cube_rows"]:
+                adj[rows[:, :, None], rows[:, None, :]] = True
             np.fill_diagonal(adj, False)
             self._cache["linf_adj"] = adj
         return self._cache["linf_adj"]

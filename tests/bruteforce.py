@@ -11,6 +11,9 @@ from collections import deque
 
 import numpy as np
 
+from cubekit.errors import ConsistencyError
+from cubekit.median import Cube
+
 
 def adj_dict(g) -> dict[str, set[str]]:
     out = {v: set() for v in g.ids}
@@ -142,6 +145,66 @@ def wall_pairs_brute(sides) -> list[tuple[int, tuple[int, int]]]:
                 m |= 1 << int(j)
             found[key] = (m, (x, y))
     return list(found.values())
+
+
+def cubes_interval_brute(g):
+    """The cube inventory of a median graph by the interval scan: every pair
+    u < v within max-degree distance whose separating hyperplanes pairwise
+    cross spans the cube I(u, v); corners are the first such pair found.
+    Fields and sort order match ``MedianGraph.cubes``."""
+    g.require_median()
+    if not g.edges:
+        return [Cube(0, frozenset({g.ids[0]}), (), (g.ids[0], g.ids[0]), True)]
+    d = g.dist
+    s = g.sides
+    trans = g.transverse
+    edge_class = g._hyperplane_data()["edge_class"]
+    max_deg = max(len(a) for a in g.adj)
+    seen: dict[frozenset[int], tuple[int, tuple[int, ...], tuple[int, int]]] = {}
+    for u in range(g.n):
+        near = np.flatnonzero((d[u] >= 1) & (d[u] <= max_deg))
+        for v in near:
+            v = int(v)
+            if v <= u:
+                continue
+            sep = np.flatnonzero(s[:, u] != s[:, v])
+            k = len(sep)
+            if k != d[u, v]:
+                raise ConsistencyError("separating count disagrees with distance")
+            sub = trans[np.ix_(sep, sep)]
+            if k > 1 and not (sub | np.eye(k, dtype=bool)).all():
+                continue
+            verts = frozenset(
+                int(i) for i in np.flatnonzero((d[u] + d[v]) == d[u, v])
+            )
+            if len(verts) != 2**k:
+                raise ConsistencyError("cube interval has the wrong vertex count")
+            if verts not in seen:
+                seen[verts] = (k, tuple(int(j) for j in sep), (u, v))
+    cubes = []
+    for verts, (k, hs, (u, v)) in seen.items():
+        hs_set = set(hs)
+        maximal = True
+        for w in g.adj[v]:
+            if w in verts:
+                continue
+            ek = int(edge_class[g.edge_index[(min(v, w), max(v, w))]])
+            if ek in hs_set:
+                continue
+            if all(trans[ek, j] for j in hs):
+                maximal = False
+                break
+        cubes.append(
+            Cube(
+                dimension=k,
+                vertices=frozenset(g.ids[i] for i in verts),
+                hyperplanes=hs,
+                corners=(g.ids[u], g.ids[v]),
+                maximal=maximal,
+            )
+        )
+    cubes.sort(key=lambda c: (-c.dimension, sorted(c.vertices)))
+    return cubes
 
 
 def grid_pareto_bruteforce(sides, transverse) -> set[tuple[int, int]]:

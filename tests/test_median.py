@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from fixtures import (
     path_graph,
     product_graph,
     random_tree,
+    staircase,
     tree_y,
 )
 from cubekit import median
-from cubekit.errors import GraphInputError, NotMedianError, SizeCapError
-from cubekit.median import L1, LINF, MedianGraph, ram_bound
+from cubekit.errors import ConsistencyError, GraphInputError, NotMedianError, SizeCapError
+from cubekit.median import L1, LINF, MedianGraph, MedianVerdict, ram_bound
 
 FIX = named_fixtures()
 
@@ -389,6 +391,91 @@ def test_cube_vertices_count():
         for c in FIX[name].cubes():
             assert len(c.vertices) == 2**c.dimension
             assert len(c.hyperplanes) == c.dimension
+
+
+def _seeded_products(count: int, seed: int) -> list[MedianGraph]:
+    """Products of two or three trees, paths and cubes with n <= 40, their
+    vertices listed in random order (so vertex 0 and the index order are not
+    tied to the factors)."""
+    rng = random.Random(seed)
+    factors = [
+        lambda: random_tree(rng.randint(2, 7), rng),
+        lambda: path_graph(rng.randint(1, 4)),
+        lambda: hypercube(rng.randint(1, 3)),
+    ]
+    out = []
+    while len(out) < count:
+        p = product_graph(rng.choice(factors)(), rng.choice(factors)())
+        if rng.random() < 0.3:
+            p = product_graph(p, rng.choice(factors)())
+        if p.n <= 40:
+            edges = [(p.ids[a], p.ids[b]) for a, b in p.edges]
+            out.append(MedianGraph(rng.sample(p.ids, p.n), edges))
+    return out
+
+
+def test_cubes_match_interval_oracle():
+    # field by field and in order, and the linf cone-off built from the
+    # enumerator's index rows joins exactly the pairs in a common maximal cube
+    graphs = list(FIX.values()) + [staircase(6)] + _seeded_products(110, 2031)
+    for g in graphs:
+        truth = bf.cubes_interval_brute(g)
+        assert g.cubes() == truth, g
+        joined = np.zeros((g.n, g.n), dtype=bool)
+        for c in truth:
+            if c.maximal:
+                idx = g.indices_of(c.vertices)
+                joined[np.ix_(idx, idx)] = True
+        np.fill_diagonal(joined, False)
+        assert (g.linf_adjacency() == joined).all(), g
+
+
+def test_star_times_path_cubes_at_scale():
+    # K_{1,s} x P_m: s(m+1) + (s+1)m edges and sm squares, every square
+    # maximal; a scan over vertex pairs within max-degree distance took
+    # seconds here, the up-link enumeration takes well under one
+    s, m = 300, 3
+    star = MedianGraph(["c"] + [f"l{i}" for i in range(s)], [("c", f"l{i}") for i in range(s)])
+    g = product_graph(star, path_graph(m))
+    assert g.n == 1204
+    g.wall_system
+    start = time.perf_counter()
+    cubes = g.cubes()
+    elapsed = time.perf_counter() - start
+    dims = {}
+    for c in cubes:
+        dims[c.dimension] = dims.get(c.dimension, 0) + 1
+    assert dims == {1: s * (m + 1) + (s + 1) * m, 2: s * m}
+    assert sum(c.maximal for c in cubes) == s * m
+    assert all(c.maximal == (c.dimension == 2) for c in cubes)
+    assert elapsed < 2.0, elapsed
+
+
+def test_cube_corner_missing_is_an_internal_error():
+    # a transversality table claiming that two legs of a tripod cross asks
+    # for a square at the centre that is not there
+    g = MedianGraph(["c", "a", "b", "d"], [("c", "a"), ("c", "b"), ("c", "d")])
+    ws = g.wall_system
+    ws._trans_int[0] |= 1 << 1
+    ws._trans_int[1] |= 1 << 0
+    with pytest.raises(ConsistencyError, match="corner is missing"):
+        g.cubes()
+
+
+def test_cube_vertex_count_is_checked():
+    # hand-made tables for a triangle: its two up-edges at c in crossing
+    # classes, the third edge in the first class, so the far corner of the
+    # square repeats a vertex
+    g = MedianGraph(["c", "a", "b"], [("c", "a"), ("c", "b"), ("a", "b")])
+    g._cache["median_verdict"] = MedianVerdict(ok=True)
+    g._cache["hyp"] = {
+        "class_edges": [[0, 2], [1]],
+        "edge_class": np.array([0, 1, 0], dtype=np.int32),
+        "sides": np.array([[True, False, True], [True, True, False]]),
+    }
+    g._cache["transverse"] = np.array([[False, True], [True, False]])
+    with pytest.raises(ConsistencyError, match="wrong vertex count"):
+        g.cubes()
 
 
 # -- distances ----------------------------------------------------------------
