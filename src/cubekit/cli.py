@@ -5,7 +5,7 @@ One binary with a subcommand tree (``median``, ``diag``, ``coneoff``,
 the library, and emits either a human summary or deterministic JSON.
 
 Every report carries the input digests, the parameters, a list of results
-tagged with their method (exact, lower_bound, or one_sided), the statement
+tagged with their method (exact or lower_bound), the statement
 each command checks, and the wall-clock duration.  Exit codes: 0 for a
 computed or passing result, 1 when a pass/fail verdict is negative, 2 for
 input errors, 3 when an internal cross-check fails (a bug), and 4 when the
@@ -62,8 +62,6 @@ from .racg import (
     relhyp_report,
 )
 from .smallcancel import check_small_cancellation, presentation_from_text
-
-ONE_SIDED = "one_sided"
 
 ANCHORS = {
     "median check": "a graph is median when every vertex triple has exactly one median vertex",
@@ -355,15 +353,12 @@ def _cmd_racg_nf(args):
 def _cmd_racg_ball(args):
     dg, digest = _load_defining(args.file)
     b = ball(dg, args.radius)
-    results = [
+    return [digest], {"radius": args.radius}, [
         _result("radius", b.radius),
         _result("vertices", b.graph.n),
         _result("edges", len(b.graph.edges)),
         _result("identity", b.identity),
-    ]
-    if b.note:
-        results.append(_result("note", b.note, ONE_SIDED))
-    return [digest], {"radius": args.radius}, results, None
+    ], None
 
 
 def _cmd_racg_squares(args):

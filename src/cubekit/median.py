@@ -38,8 +38,6 @@ from .errors import (
 L1 = "l1"
 LINF = "linf"
 
-METRICS = (L1, LINF)
-
 # median recognition above this many vertices is refused
 IS_MEDIAN_CAP = 4000
 
@@ -358,9 +356,6 @@ class MedianGraph:
 
     def __repr__(self) -> str:
         return f"MedianGraph({self.n} vertices, {len(self.edges)} edges)"
-
-    def id_of(self, i: int) -> str:
-        return self.ids[i]
 
     def indices_of(self, vs: Iterable[str]) -> list[int]:
         out = []

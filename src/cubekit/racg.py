@@ -2,9 +2,9 @@
 
 Vertices are involutive generators and edges are commutation relations.
 This module solves the word problem by commutation rewriting, builds Cayley
-balls as graphs, computes walls from reflection words, classifies
-contracting generators, and iterates the canonical join decomposition that
-decides relative hyperbolicity.
+balls as graphs, computes their walls and crossings exactly from the Tits
+representation, classifies contracting generators, and iterates the
+canonical join decomposition that decides relative hyperbolicity.
 """
 
 from __future__ import annotations
@@ -15,14 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, GraphInputError, SizeCapError
-from .median import MedianGraph, UnionFind, WallSystem
+from .median import _BLOCK_CELLS, MedianGraph, UnionFind, WallSystem
 
 SQUARES = "squares"
 LARGE_JOINS = "large_joins"
 
 BALL_VERTEX_CAP = 20000
 JOIN_ENUM_CAP = 14
-WALL_BUFFER = 2
+# Tits matrices and roots whose entries pass this are refused: it keeps
+# R @ B @ R.T (at most k^2 * bound^2) and one more layer inside int64 for
+# every rank whose matrices fit in memory
+TITS_ENTRY_CAP = 1 << 20
 
 
 class DefiningGraph:
@@ -173,26 +176,6 @@ class RacgBall:
     identity: str
     separator: str
     edge_letter: dict[tuple[str, str], str]
-    note: str
-
-
-def _ball_forms(dg: DefiningGraph, r: int, cap: int) -> dict[tuple[str, ...], int]:
-    forms: dict[tuple[str, ...], int] = {(): 0}
-    frontier: list[tuple[str, ...]] = [()]
-    for ln in range(r):
-        nxt = []
-        for f in frontier:
-            for v in dg.vertices:
-                g = _mul(dg, f, v)
-                if len(g) == ln + 1 and g not in forms:
-                    forms[g] = ln + 1
-                    nxt.append(g)
-                    if len(forms) > cap:
-                        raise SizeCapError(
-                            f"ball exceeds the {cap}-vertex cap at radius {ln + 1}"
-                        )
-        frontier = nxt
-    return forms
 
 
 def _separator_for(dg: DefiningGraph) -> str:
@@ -203,46 +186,50 @@ def _separator_for(dg: DefiningGraph) -> str:
 
 
 def ball(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> RacgBall:
-    """The radius-r ball of the Cayley graph, on shortlex normal forms."""
+    """The radius-r ball of the Cayley graph, on shortlex normal forms listed
+    by length and then shortlex, so each edge goes up from its lower index."""
     if r < 0:
         raise GraphInputError("radius must be >= 0")
-    forms = _ball_forms(dg, r, cap)
     sep = _separator_for(dg)
     ident = next(
         (c for c in ("e", "1", "id", "eps") if c not in dg.rank), "<identity>"
     )
-    rank = dg.rank
-    ordered = sorted(forms, key=lambda t: (len(t), [rank[x] for x in t]))
 
     def fid(t):
         return sep.join(t) if t else ident
 
-    ids = [fid(t) for t in ordered]
-    edges = []
-    edge_letter: dict[tuple[str, str], str] = {}
-    for f in ordered:
-        for v in dg.vertices:
-            g = _mul(dg, f, v)
-            if len(g) == len(f) + 1 and g in forms:
-                a, b = fid(f), fid(g)
-                edges.append((a, b))
-                edge_letter[(min(a, b), max(a, b))] = v
-    graph = MedianGraph(ids, edges)
+    forms, frontier = {()}, [()]
+    edges, edge_letter = [], {}
+    for ln in range(r):
+        nxt = []
+        for f in frontier:
+            for v in dg.vertices:
+                g = _mul(dg, f, v)
+                if len(g) <= ln:
+                    continue
+                a, c = fid(f), fid(g)
+                edges.append((a, c))
+                edge_letter[(min(a, c), max(a, c))] = v
+                if g not in forms:
+                    forms.add(g)
+                    nxt.append(g)
+                    if len(forms) > cap:
+                        raise SizeCapError(
+                            f"ball exceeds the {cap}-vertex cap at radius {ln + 1}"
+                        )
+        frontier = nxt
+    ordered = sorted(forms, key=lambda t: (len(t), [dg.rank[x] for x in t]))
     return RacgBall(
-        graph=graph,
+        graph=MedianGraph([fid(t) for t in ordered], edges),
         radius=r,
         forms={fid(t): t for t in ordered},
         identity=ident,
         separator=sep,
         edge_letter=edge_letter,
-        note=(
-            "wall data for this ball is computed from reflection words with a "
-            f"radius +{WALL_BUFFER} buffer; transversality is one-sided"
-        ),
     )
 
 
-# -- walls from reflection words -----------------------------------------------------
+# -- walls from the Tits representation ----------------------------------------------
 
 
 @dataclass
@@ -251,7 +238,7 @@ class BallWalls:
     system: WallSystem
     reflections: tuple[tuple[str, ...], ...]
     dual_edges: tuple[tuple[tuple[str, str], ...], ...]
-    note: str
+    roots: np.ndarray
 
     def generator_wall(self, v: str) -> int:
         """Index of the wall dual to the identity edge of a generator."""
@@ -263,66 +250,88 @@ class BallWalls:
             ) from None
 
 
-def ball_walls(
-    dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP, buffer: int = WALL_BUFFER
-) -> BallWalls:
-    """Walls of the Cayley ball via reflection words.
+def ball_walls(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> BallWalls:
+    """Walls of the Cayley ball from the Tits representation.
 
-    The wall of an edge (g, gv) is the reflection g v g^-1; a vertex y lies
-    on the identity side iff multiplying by the reflection increases its
-    length (exact, no truncation).  Transversality is certified by commuting
-    squares based in the radius-(r + buffer) ball and is one-sided: crossings
-    witnessed only further out are missed.
+    With the integral Tits form B (1 on the diagonal, 0 on the edges of the
+    defining graph, -1 elsewhere), the generator v acts on Z^k by
+    x -> x - 2 B(e_v, x) e_v, and g by the product M_g along any word.  The
+    wall of an edge (g, gv) with |gv| > |g| has the positive root M_g e_v,
+    so two edges lie on one wall iff their roots agree.  Two walls cross iff
+    B(alpha, beta) = 0 for their roots: their reflections then generate a
+    finite group, which fixes a point on both.  Every geodesic from the
+    identity stays in the ball, so the walls separating it from y are those
+    of y's parent plus the wall of the edge between them.  Walls are listed
+    by their first edge, each with its reflection word, its edges, its root
+    (a row of `roots`, in the basis of the generators) and its sides (True
+    on the identity's side).  All of it is exact.
     """
     b = ball(dg, r, cap)
-    wall_index: dict[tuple[str, ...], int] = {}
-    dual: list[list[tuple[str, str]]] = []
-    for iu, iw in b.graph.edges:
-        uid, wid = b.graph.ids[iu], b.graph.ids[iw]
-        fu, fw = b.forms[uid], b.forms[wid]
-        g, _h = (fu, fw) if len(fu) < len(fw) else (fw, fu)
-        v = b.edge_letter[(min(uid, wid), max(uid, wid))]
-        refl = tuple(_shortlex(dg, _reduce(dg, list(g) + [v] + list(reversed(g)))))
-        j = wall_index.setdefault(refl, len(dual))
-        if j == len(dual):
-            dual.append([])
-        dual[j].append((uid, wid))
-    reflections = [None] * len(wall_index)
-    for refl, j in wall_index.items():
-        reflections[j] = refl
-    h = len(reflections)
-    sides = np.zeros((h, b.graph.n), dtype=bool)
-    for j, t in enumerate(reflections):
-        tl = list(t)
-        for k, vid in enumerate(b.graph.ids):
-            y = b.forms[vid]
-            sides[j, k] = len(_reduce(dg, tl + list(y))) > len(y)
-    trans = np.zeros((h, h), dtype=bool)
-    comm = [
-        (u, v)
-        for u, v in itertools.combinations(dg.vertices, 2)
-        if v in dg.adj[u]
-    ]
-    if comm:
-        for g in _ball_forms(dg, r + buffer, cap * 4):
-            gl = list(g)
-            rg = list(reversed(g))
-            for u, v in comm:
-                w1 = tuple(_shortlex(dg, _reduce(dg, gl + [u] + rg)))
-                i1 = wall_index.get(w1)
-                if i1 is None:
-                    continue
-                w2 = tuple(_shortlex(dg, _reduce(dg, gl + [v] + rg)))
-                i2 = wall_index.get(w2)
-                if i2 is None or i1 == i2:
-                    continue
-                trans[i1, i2] = trans[i2, i1] = True
+    g, ids, rank, k = b.graph, b.graph.ids, dg.rank, len(dg.vertices)
+    B = np.full((k, k), -1, dtype=np.int64)
+    for a, nbrs in dg.adj.items():
+        B[rank[a], [rank[x] for x in nbrs]] = 0
+    np.fill_diagonal(B, 1)
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    letter = np.array(
+        [rank[b.edge_letter[min(u, w), max(u, w)]]
+         for u, w in ((ids[i], ids[j]) for i, j in g.edges)],
+        dtype=np.intp,
+    )
+    # vertex indices grow with length, so the short end of an edge is its
+    # first one; tree[y] is one edge into y, from its parent
+    tree = np.zeros(g.n, dtype=np.intp)
+    tree[ends[:, 1]] = np.arange(len(ends))
+    layer = np.searchsorted([len(b.forms[i]) for i in ids], np.arange(r + 2))
+    first_out = np.searchsorted(ends[:, 0], layer)
+    roots = np.empty((len(ends), k), dtype=np.int64)
+    M = np.eye(k, dtype=np.int64)[None]  # M_g for the vertices of one layer
+    for ln in range(r):
+        lo, out = layer[ln], slice(first_out[ln], first_out[ln + 1])
+        roots[out] = M[ends[out, 0] - lo, :, letter[out]]
+        ys = np.arange(layer[ln + 1], layer[ln + 2])
+        if ln + 1 == r or not len(ys):  # no edge leaves the last layer
+            break
+        P, v = M[ends[tree[ys], 0] - lo], letter[tree[ys]]
+        M = P - 2 * P[np.arange(len(ys)), :, v][:, :, None] * B[v][:, None, :]
+        if (top := int(np.abs(M).max())) > TITS_ENTRY_CAP:
+            raise SizeCapError(
+                f"Tits matrix entry {top} at radius {ln + 1} passes the "
+                f"int64-safe bound {TITS_ENTRY_CAP}"
+            )
+    if (roots < 0).any():
+        raise ConsistencyError("an edge root of the Cayley ball is not positive")
+    index: dict[bytes, int] = {}  # root -> wall, numbered by first edge
+    wall = np.array(
+        [index.setdefault(x.tobytes(), len(index)) for x in roots], dtype=np.intp
+    )
+    first = np.unique(wall, return_index=True)[1]
+    h = len(first)
+    dual: list[list[tuple[str, str]]] = [[] for _ in range(h)]
+    for (i, j), w in zip(g.edges, wall.tolist()):
+        dual[w].append((ids[i], ids[j]))
+    reflections = []
+    for e in first:
+        word = list(b.forms[ids[ends[e, 0]]])
+        refl = _reduce(dg, word + [dg.vertices[letter[e]]] + word[::-1])
+        reflections.append(tuple(_shortlex(dg, refl)))
+    crossed = np.zeros((g.n, h), dtype=bool)
+    for ln in range(1, r + 1):
+        ys = np.arange(layer[ln], layer[ln + 1])
+        crossed[ys] = crossed[ends[tree[ys], 0]]
+        crossed[ys, wall[tree[ys]]] = True
+    wroots = roots[first]
+    RB = wroots @ B
+    trans = np.empty((h, h), dtype=bool)
+    step = max(1, _BLOCK_CELLS // max(h, 1))
+    for i in range(0, h, step):
+        trans[i : i + step] = RB[i : i + step] @ wroots.T == 0
     return BallWalls(
         ball=b,
-        system=WallSystem(sides, trans),
+        system=WallSystem(~crossed.T, trans),
         reflections=tuple(reflections),
         dual_edges=tuple(tuple(d) for d in dual),
-        note=b.note,
+        roots=wroots,
     )
 
 

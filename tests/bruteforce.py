@@ -11,8 +11,9 @@ from collections import deque
 
 import numpy as np
 
-from cubekit.errors import ConsistencyError
+from cubekit.errors import ConsistencyError, SizeCapError
 from cubekit.median import Cube
+from cubekit.racg import _mul, _reduce, _shortlex, ball
 
 
 def adj_dict(g) -> dict[str, set[str]]:
@@ -383,6 +384,80 @@ def coxeter_ball_oracle(order, adj, r: int):
                     nxt.append(N)
         frontier = nxt
     return dist
+
+
+def _ball_forms_words(dg, r: int, cap: int) -> dict[tuple[str, ...], int]:
+    forms: dict[tuple[str, ...], int] = {(): 0}
+    frontier: list[tuple[str, ...]] = [()]
+    for ln in range(r):
+        nxt = []
+        for f in frontier:
+            for v in dg.vertices:
+                g = _mul(dg, f, v)
+                if len(g) == ln + 1 and g not in forms:
+                    forms[g] = ln + 1
+                    nxt.append(g)
+                    if len(forms) > cap:
+                        raise SizeCapError(
+                            f"ball exceeds the {cap}-vertex cap at radius {ln + 1}"
+                        )
+        frontier = nxt
+    return forms
+
+
+def ball_walls_words_brute(dg, r: int, buffer: int, cap: int = 20000):
+    """Walls of the Cayley ball from reflection words, by word rewriting.
+
+    Returns (reflections, dual_edges, sides, transverse).  The wall of an
+    edge (g, gv) is the reflection g v g^-1; a vertex y lies on the identity
+    side iff multiplying by the reflection increases its length.  Crossings
+    are certified by commuting squares based in the radius-(r + buffer) ball
+    only, so the transversality table is a subset of the true one.
+    """
+    b = ball(dg, r, cap)
+    wall_index: dict[tuple[str, ...], int] = {}
+    dual: list[list[tuple[str, str]]] = []
+    for iu, iw in b.graph.edges:
+        uid, wid = b.graph.ids[iu], b.graph.ids[iw]
+        fu, fw = b.forms[uid], b.forms[wid]
+        g, _h = (fu, fw) if len(fu) < len(fw) else (fw, fu)
+        v = b.edge_letter[(min(uid, wid), max(uid, wid))]
+        refl = tuple(_shortlex(dg, _reduce(dg, list(g) + [v] + list(reversed(g)))))
+        j = wall_index.setdefault(refl, len(dual))
+        if j == len(dual):
+            dual.append([])
+        dual[j].append((uid, wid))
+    reflections = [None] * len(wall_index)
+    for refl, j in wall_index.items():
+        reflections[j] = refl
+    h = len(reflections)
+    sides = np.zeros((h, b.graph.n), dtype=bool)
+    for j, t in enumerate(reflections):
+        tl = list(t)
+        for k, vid in enumerate(b.graph.ids):
+            y = b.forms[vid]
+            sides[j, k] = len(_reduce(dg, tl + list(y))) > len(y)
+    trans = np.zeros((h, h), dtype=bool)
+    comm = [
+        (u, v)
+        for u, v in itertools.combinations(dg.vertices, 2)
+        if v in dg.adj[u]
+    ]
+    if comm:
+        for g in _ball_forms_words(dg, r + buffer, cap * 4):
+            gl = list(g)
+            rg = list(reversed(g))
+            for u, v in comm:
+                w1 = tuple(_shortlex(dg, _reduce(dg, gl + [u] + rg)))
+                i1 = wall_index.get(w1)
+                if i1 is None:
+                    continue
+                w2 = tuple(_shortlex(dg, _reduce(dg, gl + [v] + rg)))
+                i2 = wall_index.get(w2)
+                if i2 is None or i1 == i2:
+                    continue
+                trans[i1, i2] = trans[i2, i1] = True
+    return tuple(reflections), tuple(tuple(d) for d in dual), sides, trans
 
 
 def free_reduce_brute(word):

@@ -232,7 +232,7 @@ class TestReportShape:
         assert len(rep["inputs"][0]["sha256"]) == 64
         for r in rep["results"]:
             assert {"quantity", "value", "method"} <= set(r)
-            assert r["method"] in {"exact", "lower_bound", "one_sided"}
+            assert r["method"] in {"exact", "lower_bound"}
 
     def test_json_deterministic_modulo_duration(self, files, capsys):
         path = files("p", PENTAGON_POWER)

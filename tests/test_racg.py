@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+from cubekit import racg
 from cubekit.diagnostics import has_grid_through
 from cubekit.errors import GraphInputError, SizeCapError
 from cubekit.median import MedianGraph
@@ -39,7 +40,9 @@ PATH3 = (list("abc"), [("a", "b"), ("b", "c")])
 PATH4 = (list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
 C4 = (list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
 C5 = (list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+C6 = (list("abcdef"), C5[1][:-1] + [("e", "f"), ("f", "a")])
 C4_PENDANT = (list("abcdp"), C4[1] + [("a", "p")])
+FREE3 = (list("abc"), [])
 TWO_SQUARES = (
     ["a1", "a2", "a3", "a4", "m", "b1", "b2", "b3", "b4"],
     [
@@ -287,8 +290,8 @@ class TestBallWalls:
                     assert found == w, (spec[1], v, n)
 
     def test_contracting_generators_see_no_grids(self):
-        # one-sided consistency: a contracting generator's wall must not sit
-        # in any small grid inside the ball
+        # a contracting generator's wall must not sit in any small grid of
+        # walls of the ball
         for spec in (C4, PATH4, C5, C4_PENDANT):
             dg = dgn(*spec)
             verdicts = dict(contracting_generators(dg).contracting)
@@ -298,6 +301,58 @@ class TestBallWalls:
                     for n in (2, 3):
                         found, _ = has_grid_through(bw.system, bw.generator_wall(v), n)
                         assert not found
+
+
+def _random_defining_graphs(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        vs = [f"g{i}" for i in range(n)]
+        es = [e for e in itertools.combinations(vs, 2) if rng.random() < 0.45]
+        out.append((vs, es))
+    return out
+
+
+WORD_ORACLE_CASES = [
+    (C4, 3), (C5, 3), (C6, 3), (PATH4, 3), (C4_PENDANT, 3), (C5, 4)
+] + [(spec, 3) for spec in _random_defining_graphs(8, 7)]
+
+
+class TestTitsWalls:
+    @pytest.mark.parametrize("spec,r", WORD_ORACLE_CASES)
+    def test_walls_match_word_oracle(self, spec, r):
+        dg = dgn(*spec)
+        bw = ball_walls(dg, r)
+        for buffer in (0, 2):
+            refl, dual, sides, trans = bf.ball_walls_words_brute(dg, r, buffer)
+            assert bw.reflections == refl
+            assert bw.dual_edges == dual
+            assert np.array_equal(bw.system.sides, sides)
+            # the word oracle only sees crossings near the ball
+            assert not (trans & ~bw.system.transverse).any()
+        assert np.array_equal(bw.system.transverse, trans)
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_square_cycle_walls_cross_by_letters(self, r):
+        # D_inf x D_inf: an a/c wall crosses every b/d wall and nothing else
+        dg = dgn(*C4)
+        bw = ball_walls(dg, r)
+        letters = []
+        for j, ((uid, wid), *_) in enumerate(bw.dual_edges):
+            v = bw.ball.edge_letter[(min(uid, wid), max(uid, wid))]
+            letters.append(v)
+            M = bf.coxeter_word_matrix(dg.vertices, dg.adj, bw.ball.forms[uid])
+            col = dg.vertices.index(v)
+            assert bw.roots[j].tolist() == [row[col] for row in M]
+        want = np.array([[b in dg.adj[a] for b in letters] for a in letters])
+        assert np.array_equal(bw.system.transverse, want)
+
+    def test_entry_bound_refuses(self, monkeypatch):
+        monkeypatch.setattr(racg, "TITS_ENTRY_CAP", 100)
+        assert ball_walls(dgn(*FREE3), 4).system.h > 0
+        with pytest.raises(SizeCapError):
+            ball_walls(dgn(*FREE3), 7)
 
 
 class TestJoins:
