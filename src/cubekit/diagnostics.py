@@ -4,13 +4,20 @@ Grids of hyperplanes, flat rectangles, the four-point constant, bigon
 thinness, cone-off constructions, contracting hyperplanes and fineness
 certificates.  Everything here is exact unless a search cap is hit, in
 which case the result is flagged as a lower bound.
+
+The four-point constant scans only far-apart pairs (Cohen, Coudert &
+Lancin, ACM JEA 20, 2015), by decreasing distance, and stops once the
+distance is no more than the best defect or 1.  Bigon thinness visits
+pairs by decreasing distance and stops once floor(d / 2) is no more than
+the best gap; trees return 0 without a scan.  Both bigon rules need the
+measure to be at most the graph distance; other measures get the full
+scan.  Any bigon scan stops once the best gap reaches the largest measure.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,14 +36,15 @@ APEX = "apex"
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 
+# exact delta and bigon scans: pruned, grids and Q8 in l1 take under 0.1 s
+# at this size, but Q8 bigons in linf, which pruning cannot cut, take 4 s at
+# 256 vertices (measured table in CHANGES.md)
 DELTA_SIZE_LIMIT = 400
 GRID_NODE_CAP = 200_000
 # separation masks examined by max_thick_rectangle: the 32x32-vertex grid
 # (247 008 masks) stays exact, and a capped run on 4 000 vertices adds about
 # 2 s to the hyperplane tables (measured table in CHANGES.md)
 RECT_STATE_CAP = 250_000
-# embeddings grown by the exhaustive flat_rectangles enumeration
-FLAT_STATE_CAP = 50_000
 CYCLE_COUNT_CAP = 10**6
 
 
@@ -284,113 +292,6 @@ def verify_flat_rectangle(g: MedianGraph, rect: FlatRectangle) -> None:
             )
 
 
-def _transpose(emb):
-    return tuple(zip(*emb))
-
-
-def _extend_right(g: MedianGraph, emb):
-    """All one-column extensions of an anchored rectangle embedding.
-
-    The first cell of the new column branches over suitable neighbours; the
-    rest of the column is forced by unique square completion (median graphs
-    have no K_{2,3}).  Accepted extensions pass a full metric check of the
-    new column against every existing cell.
-    """
-    d = g.dist
-    adj = g.adj
-    a = len(emb) - 1
-    b = len(emb[0]) - 1
-    used = {v for col in emb for v in col}
-    base = emb[0][0]
-    jj = np.arange(b + 1)
-    col_gap = np.abs(jj[:, None] - jj[None, :])
-    out = []
-    for u in adj[emb[a][0]]:
-        if u in used or d[u, base] != a + 1:
-            continue
-        col = [u]
-        ok = True
-        for j in range(1, b + 1):
-            prev = col[j - 1]
-            side = emb[a][j]
-            cands = [
-                w
-                for w in adj[prev]
-                if w in adj[side] and w != emb[a][j - 1] and w not in used and w not in col
-            ]
-            if len(cands) != 1:
-                ok = False
-                break
-            col.append(cands[0])
-        if not ok:
-            continue
-        new = np.array(col)
-        if not (d[np.ix_(new, new)] == col_gap).all():
-            continue
-        good = True
-        for i in range(a + 1):
-            old = np.array(emb[i])
-            if not (d[np.ix_(new, old)] == (a + 1 - i) + col_gap).all():
-                good = False
-                break
-        if good:
-            out.append(emb + (tuple(col),))
-    return out
-
-
-def flat_rectangles(
-    g: MedianGraph, cap: int = FLAT_STATE_CAP
-) -> tuple[list[FlatRectangle], str, int]:
-    """Every flat rectangle of g (dedup by vertex set), grown from squares.
-
-    This exhaustive enumeration serves the checks that need every rectangle's
-    vertex set; sizes alone come cheaper from `max_thick_rectangle`.
-    """
-    g.require_median()
-    adj = g.adj
-    start = []
-    for c in g.cubes():
-        if c.dimension != 2:
-            continue
-        vs = [g.index[v] for v in sorted(c.vertices)]
-        for p in vs:
-            nb = [v for v in vs if v in adj[p]]
-            opp = [v for v in vs if v != p and v not in nb][0]
-            u1, u2 = nb
-            for q, r in ((u1, u2), (u2, u1)):
-                start.append(((p, r), (q, opp)))
-    seen = set()
-    queue = deque()
-    for emb in start:
-        key = (len(emb), len(emb[0]), emb[0][0], emb[-1][0], emb[0][-1], emb[-1][-1])
-        if key not in seen:
-            seen.add(key)
-            queue.append(emb)
-    states = 0
-    exact = True
-    by_set: dict[frozenset, FlatRectangle] = {}
-    while queue:
-        emb = queue.popleft()
-        states += 1
-        if states > cap:
-            exact = False
-            break
-        a = len(emb) - 1
-        b = len(emb[0]) - 1
-        vset = frozenset(v for col in emb for v in col)
-        if vset not in by_set:
-            ids = tuple(tuple(g.ids[v] for v in col) for col in emb)
-            by_set[vset] = FlatRectangle(a=a, b=b, embedding=ids)
-        nxt = _extend_right(g, emb)
-        nxt += [_transpose(e) for e in _extend_right(g, _transpose(emb))]
-        for e in nxt:
-            key = (len(e), len(e[0]), e[0][0], e[-1][0], e[0][-1], e[-1][-1])
-            if key not in seen:
-                seen.add(key)
-                queue.append(e)
-    return list(by_set.values()), EXACT if exact else LOWER_BOUND, states
-
-
 def _split_components(ws: WallSystem, mask: int, memo: dict[int, int]) -> list[int]:
     """Components of the non-transverse graph on the walls of `mask`.
 
@@ -536,6 +437,17 @@ def _four_point(d, x, y, u, v) -> int:
     return s[2] - s[1]
 
 
+def _far_apart(d: np.ndarray, nbrs) -> np.ndarray:
+    """Far-apart mask of the metric d: (x, y) is far apart when no
+    neighbour of x is farther from y and no neighbour of y is farther from x.
+
+    Row x of ``reach`` is the max of d over x and its neighbours ``nbrs[x]``.
+    """
+    reach = np.array([d[[x, *nb]].max(axis=0) for x, nb in enumerate(nbrs)])
+    near = reach <= d
+    return near & near.T
+
+
 def delta(
     g: MedianGraph,
     metric: str = L1,
@@ -545,7 +457,20 @@ def delta(
 ) -> DeltaReport:
     """Four-point hyperbolicity constant: max over 4-tuples of the defect
     between the two largest pair sums, halved.  The size cap is checked
-    before the metric table is built."""
+    before the metric table is built.
+
+    The exact scan keeps to far-apart pairs (Cohen, Coudert & Lancin, On
+    computing the Gromov hyperbolicity, ACM JEA 20, 2015): moving an end of
+    a largest-sum pair to a farther neighbour never lowers the defect, so
+    some optimal quadruple has both pairs of its largest sum far apart.
+    Neighbours are taken in g for l1 and in the cube cone-off for linf.
+    Far-apart pairs (x, y) are visited by decreasing distance, each against
+    every far-apart (u, v) at once, and the scan stops once
+    d(x, y) <= max(best, 1).  The second largest sum is at least
+    max(d(x, y), d(u, v)) by the triangle inequality, so the defect is at
+    most min(d(x, y), d(u, v)); a positive defect needs four distinct
+    points, so every sum is at least 2 and pairs at distance 1 add nothing.
+    """
     n = g.n
     if n > size_limit and sample is None:
         raise SizeCapError(
@@ -562,22 +487,28 @@ def delta(
             if val > best:
                 best, wit = val, tuple(g.ids[i] for i in xs)
         return DeltaReport(Fraction(best, 2), wit, LOWER_BOUND)
+    if metric == L1:
+        nbrs = g.adj
+    else:
+        nbrs = [np.flatnonzero(row) for row in g.linf_adjacency()]
+    us, vs = np.nonzero(np.triu(_far_apart(d, nbrs), 1))
+    duv = d[us, vs]
     best = 0
     arg = None
-    for x in range(n):
-        dx = d[x]
-        for y in range(x + 1, n):
-            p1 = d[x, y] + d
-            p2 = dx[:, None] + d[y][None, :]
-            p3 = p2.T
-            top = np.maximum(np.maximum(p1, p2), p3)
-            bot = np.minimum(np.minimum(p1, p2), p3)
-            gap = 2 * top - (p1 + p2 + p3 - bot)
-            m = int(gap.max())
-            if m > best:
-                best = m
-                u, v = np.unravel_index(int(gap.argmax()), gap.shape)
-                arg = (x, y, int(u), int(v))
+    for k in np.argsort(-duv, kind="stable").tolist():
+        if duv[k] <= max(best, 1):
+            break
+        x, y = int(us[k]), int(vs[k])
+        p1 = duv[k] + duv
+        p2 = d[x, us] + d[y, vs]
+        p3 = d[x, vs] + d[y, us]
+        top = np.maximum(np.maximum(p1, p2), p3)
+        bot = np.minimum(np.minimum(p1, p2), p3)
+        gap = 2 * top - (p1 + p2 + p3 - bot)
+        j = int(gap.argmax())
+        if gap[j] > best:
+            best = int(gap[j])
+            arg = (x, y, int(us[j]), int(vs[j]))
     wit = tuple(g.ids[i] for i in arg) if arg is not None else None
     return DeltaReport(Fraction(best, 2), wit, EXACT)
 
@@ -622,36 +553,59 @@ def bigon_thinness_in(
     gap.  For fixed endpoints (x, y), F(v) = max over geodesics gamma from v
     to y of min over q in gamma of measure(p, q); a backwards DP over the
     geodesic DAG computes F for every interval basepoint p at once.
+
+    When the measure is at most the graph distance, a point of a geodesic
+    from x to y lies within floor(d(x, y) / 2) of x or y, which every bigon
+    on (x, y) contains; pairs are then visited by decreasing distance and
+    the scan stops once that bound is no more than the best gap.  A tree
+    then has unique geodesics and thinness 0.  Other measures get the full
+    scan of every pair.  Any scan stops once the best gap reaches the
+    largest entry of the measure.
     """
     _check_bigon_size(g, size_limit)
     if measure.shape != (g.n, g.n):
         raise GraphInputError("measure matrix shape does not match the graph")
-    n = g.n
     d = g.dist
-    adj = g.adj
+    bounded = bool((measure <= d).all())
+    if bounded and len(g.edges) == g.n - 1:
+        return BigonReport(0, None, EXACT)
+    xs, ys = np.triu_indices(g.n, 1)
+    if bounded:
+        order = np.argsort(-d[xs, ys], kind="stable")
+        xs, ys = xs[order], ys[order]
+    top = int(measure.max())
     best = 0
     wit = None
-    for x in range(n):
-        dx = d[x]
-        for y in range(x + 1, n):
-            if dx[y] <= 1:
-                continue
-            ival = np.flatnonzero(dx + d[y] == dx[y])
-            pos = {int(v): t for t, v in enumerate(ival)}
-            M = measure[np.ix_(ival, ival)]
-            order = sorted((int(v) for v in ival), key=lambda v: -int(dx[v]))
-            F = {y: M[:, pos[y]]}
-            for v in order[1:]:
-                succ = [w for w in adj[v] if w in pos and dx[w] == dx[v] + 1]
-                acc = F[succ[0]]
-                for w in succ[1:]:
-                    acc = np.maximum(acc, F[w])
-                F[v] = np.minimum(M[:, pos[v]], acc)
-            val = int(F[x].max())
-            if val > best:
-                best = val
-                wit = (g.ids[x], g.ids[y])
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        if best >= top or bounded and d[x, y] // 2 <= best:
+            break
+        if d[x, y] <= 1:
+            continue
+        val = _bigon_gap(g, measure, x, y)
+        if val > best:
+            best = val
+            wit = (g.ids[x], g.ids[y])
     return BigonReport(best, wit, EXACT)
+
+
+def _bigon_gap(g: MedianGraph, measure: np.ndarray, x: int, y: int) -> int:
+    """Largest gap of a geodesic bigon on (x, y), by the DP over the
+    geodesic DAG of the interval from x to y."""
+    d = g.dist
+    adj = g.adj
+    dx = d[x]
+    ival = np.flatnonzero(dx + d[y] == dx[y])
+    pos = {int(v): t for t, v in enumerate(ival)}
+    M = measure[np.ix_(ival, ival)]
+    order = sorted((int(v) for v in ival), key=lambda v: -int(dx[v]))
+    F = {y: M[:, pos[y]]}
+    for v in order[1:]:
+        succ = [w for w in adj[v] if w in pos and dx[w] == dx[v] + 1]
+        acc = F[succ[0]]
+        for w in succ[1:]:
+            acc = np.maximum(acc, F[w])
+        F[v] = np.minimum(M[:, pos[v]], acc)
+    return int(F[x].max())
 
 
 # -- cone-offs ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ canonical join decomposition that decides relative hyperbolicity.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -137,19 +138,32 @@ def _reduce(dg: DefiningGraph, letters) -> list[str]:
 
 
 def _shortlex(dg: DefiningGraph, letters) -> list[str]:
-    """Lexicographically least word in the commutation class of a reduced word."""
+    """Lexicographically least word in the commutation class of a reduced word.
+
+    Kahn's topological sort of the positions, where each letter stays after
+    every earlier letter it does not commute with (an equal letter included);
+    of the free positions the least (rank, position) goes next.
+    """
     rank = dg.rank
     adj = dg.adj
-    rest = list(letters)
+    word = list(letters)
+    later: list[list[int]] = [[] for _ in word]
+    blockers = [0] * len(word)
+    for j, v in enumerate(word):
+        for i in range(j):
+            if word[i] not in adj[v]:
+                later[i].append(j)
+                blockers[j] += 1
+    free = [(rank[v], j) for j, v in enumerate(word) if not blockers[j]]
+    heapq.heapify(free)
     out: list[str] = []
-    while rest:
-        pick = -1
-        for i, v in enumerate(rest):
-            if any(u not in adj[v] for u in rest[:i]):
-                continue
-            if pick < 0 or rank[v] < rank[rest[pick]]:
-                pick = i
-        out.append(rest.pop(pick))
+    while free:
+        i = heapq.heappop(free)[1]
+        out.append(word[i])
+        for j in later[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heapq.heappush(free, (rank[word[j]], j))
     return out
 
 

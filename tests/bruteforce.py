@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
+from cubekit.diagnostics import EXACT, LOWER_BOUND, BigonReport, FlatRectangle
 from cubekit.errors import ConsistencyError, SizeCapError
 from cubekit.median import Cube
 from cubekit.racg import _mul, _reduce, _shortlex, ball
@@ -308,6 +310,193 @@ def rectangle_sizes_bruteforce(g, max_cells: int = 64) -> set[tuple[int, int]]:
             if extend({}, cells, a, b):
                 found.add((a, b))
     return found
+
+
+# embeddings grown by the exhaustive flat_rectangles enumeration
+FLAT_STATE_CAP = 50_000
+
+
+def _transpose(emb):
+    return tuple(zip(*emb))
+
+
+def _extend_right(g, emb):
+    """All one-column extensions of an anchored rectangle embedding.
+
+    The first cell of the new column branches over suitable neighbours; the
+    rest of the column is forced by unique square completion (median graphs
+    have no K_{2,3}).  Accepted extensions pass a full metric check of the
+    new column against every existing cell.
+    """
+    d = g.dist
+    adj = g.adj
+    a = len(emb) - 1
+    b = len(emb[0]) - 1
+    used = {v for col in emb for v in col}
+    base = emb[0][0]
+    jj = np.arange(b + 1)
+    col_gap = np.abs(jj[:, None] - jj[None, :])
+    out = []
+    for u in adj[emb[a][0]]:
+        if u in used or d[u, base] != a + 1:
+            continue
+        col = [u]
+        ok = True
+        for j in range(1, b + 1):
+            prev = col[j - 1]
+            side = emb[a][j]
+            cands = [
+                w
+                for w in adj[prev]
+                if w in adj[side] and w != emb[a][j - 1] and w not in used and w not in col
+            ]
+            if len(cands) != 1:
+                ok = False
+                break
+            col.append(cands[0])
+        if not ok:
+            continue
+        new = np.array(col)
+        if not (d[np.ix_(new, new)] == col_gap).all():
+            continue
+        good = True
+        for i in range(a + 1):
+            old = np.array(emb[i])
+            if not (d[np.ix_(new, old)] == (a + 1 - i) + col_gap).all():
+                good = False
+                break
+        if good:
+            out.append(emb + (tuple(col),))
+    return out
+
+
+def flat_rectangles(g, cap: int = FLAT_STATE_CAP) -> tuple[list[FlatRectangle], str, int]:
+    """Every flat rectangle of g (dedup by vertex set), grown from squares.
+
+    This exhaustive enumeration serves the checks that need every rectangle's
+    vertex set; sizes alone come from `diagnostics.max_thick_rectangle`.
+    """
+    g.require_median()
+    adj = g.adj
+    start = []
+    for c in g.cubes():
+        if c.dimension != 2:
+            continue
+        vs = [g.index[v] for v in sorted(c.vertices)]
+        for p in vs:
+            nb = [v for v in vs if v in adj[p]]
+            opp = [v for v in vs if v != p and v not in nb][0]
+            u1, u2 = nb
+            for q, r in ((u1, u2), (u2, u1)):
+                start.append(((p, r), (q, opp)))
+    seen = set()
+    queue = deque()
+    for emb in start:
+        key = (len(emb), len(emb[0]), emb[0][0], emb[-1][0], emb[0][-1], emb[-1][-1])
+        if key not in seen:
+            seen.add(key)
+            queue.append(emb)
+    states = 0
+    exact = True
+    by_set: dict[frozenset, FlatRectangle] = {}
+    while queue:
+        emb = queue.popleft()
+        states += 1
+        if states > cap:
+            exact = False
+            break
+        a = len(emb) - 1
+        b = len(emb[0]) - 1
+        vset = frozenset(v for col in emb for v in col)
+        if vset not in by_set:
+            ids = tuple(tuple(g.ids[v] for v in col) for col in emb)
+            by_set[vset] = FlatRectangle(a=a, b=b, embedding=ids)
+        nxt = _extend_right(g, emb)
+        nxt += [_transpose(e) for e in _extend_right(g, _transpose(emb))]
+        for e in nxt:
+            key = (len(e), len(e[0]), e[0][0], e[-1][0], e[0][-1], e[-1][-1])
+            if key not in seen:
+                seen.add(key)
+                queue.append(e)
+    return list(by_set.values()), EXACT if exact else LOWER_BOUND, states
+
+
+def delta_scan_brute(d: np.ndarray):
+    """Four-point constant of an integer distance table by the full scan of
+    every pair (x, y) against every (u, v), one vectorised block per pair.
+
+    Returns (value, (x, y, u, v) index witness or None); the witness is the
+    first pair in row-major order reaching the best defect.
+    """
+    d = d.astype(np.int64)
+    n = len(d)
+    best = 0
+    arg = None
+    for x in range(n):
+        dx = d[x]
+        for y in range(x + 1, n):
+            p1 = d[x, y] + d
+            p2 = dx[:, None] + d[y][None, :]
+            p3 = p2.T
+            top = np.maximum(np.maximum(p1, p2), p3)
+            bot = np.minimum(np.minimum(p1, p2), p3)
+            gap = 2 * top - (p1 + p2 + p3 - bot)
+            m = int(gap.max())
+            if m > best:
+                best = m
+                u, v = np.unravel_index(int(gap.argmax()), gap.shape)
+                arg = (x, y, int(u), int(v))
+    return Fraction(best, 2), arg
+
+
+def bigon_scan_brute(g, measure: np.ndarray, pairs=None) -> BigonReport:
+    """Bigon thinness by the geodesic-DAG DP on every pair (x < y, in
+    row-major order), or only on the index pairs given."""
+    n = g.n
+    d = g.dist
+    adj = g.adj
+    if pairs is None:
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    best = 0
+    wit = None
+    for x, y in pairs:
+        dx = d[x]
+        if dx[y] <= 1:
+            continue
+        ival = np.flatnonzero(dx + d[y] == dx[y])
+        pos = {int(v): t for t, v in enumerate(ival)}
+        M = measure[np.ix_(ival, ival)]
+        order = sorted((int(v) for v in ival), key=lambda v: -int(dx[v]))
+        F = {y: M[:, pos[y]]}
+        for v in order[1:]:
+            succ = [w for w in adj[v] if w in pos and dx[w] == dx[v] + 1]
+            acc = F[succ[0]]
+            for w in succ[1:]:
+                acc = np.maximum(acc, F[w])
+            F[v] = np.minimum(M[:, pos[v]], acc)
+        val = int(F[x].max())
+        if val > best:
+            best = val
+            wit = (g.ids[x], g.ids[y])
+    return BigonReport(best, wit, EXACT)
+
+
+def shortlex_rescan_brute(dg, letters) -> list[str]:
+    """Least word in the commutation class of a reduced word, by rescanning
+    the remaining prefix for every candidate at every pick."""
+    rank = dg.rank
+    adj = dg.adj
+    rest = list(letters)
+    out: list[str] = []
+    while rest:
+        pick = -1
+        for i, v in enumerate(rest):
+            if any(u not in adj[v] for u in rest[:i]):
+                continue
+            if pick < 0 or rank[v] < rank[rest[pick]]:
+                pick = i
+        out.append(rest.pop(pick))
+    return out
 
 
 def count_cycles_through_edge(adj: dict[str, set[str]], edge, length: int, cap: int) -> int:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import networkx as nx
 
 import bruteforce as bf
+from bruteforce import flat_rectangles
 import fixtures as fx
 from cubekit.diagnostics import (
     CLIQUE,
@@ -21,7 +22,6 @@ from cubekit.diagnostics import (
     bigon_thinness_in,
     cone_off,
     delta,
-    flat_rectangles,
     has_grid_through,
     max_grid,
     max_thick_rectangle,

@@ -1,12 +1,14 @@
 """Grids, rectangles, delta, bigons, cone-offs, contracting hyperplanes."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import bruteforce as bf
+from bruteforce import flat_rectangles
 import fixtures as fx
 from cubekit import diagnostics
 from cubekit.diagnostics import (
@@ -24,7 +26,6 @@ from cubekit.diagnostics import (
     cycle_probe,
     delta,
     fineness_certificate,
-    flat_rectangles,
     grid_search,
     has_grid_through,
     hyperplane_carrier,
@@ -336,8 +337,6 @@ def test_rectangle_split_rule_needs_no_cube_scan(monkeypatch):
         raise AssertionError("not on the split-rule path")
 
     monkeypatch.setattr(MedianGraph, "cubes", forbidden)
-    monkeypatch.setattr(diagnostics, "flat_rectangles", forbidden)
-    monkeypatch.setattr(diagnostics, "_extend_right", forbidden)
     rep = max_thick_rectangle(fx.product_graph(fx.grid_graph(3, 2), fx.hypercube(2)))
     assert (rep.thickness, rep.pareto) == (3, ((1, 6), (2, 5), (3, 4)))
 
@@ -522,6 +521,151 @@ def test_cube_metric_bigon_and_grid_bounds():
         for p, q in max_grid(g).pareto:
             assert min(p, q) <= 4 * dinf + 2, name
         assert bigon_thinness(g, LINF).value <= thin + 3, name
+
+
+# -- pruned scans against the full-scan oracles ---------------------------------------
+
+
+def _random_connected_graphs(count, seed):
+    """Random trees plus chords, so odd cycles and non-median graphs appear."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 14)
+        es = {(rng.randrange(i), i) for i in range(1, n)}
+        for _ in range(rng.randint(0, n // 2)):
+            a, b = sorted(rng.sample(range(n), 2))
+            es.add((a, b))
+        out.append(MedianGraph([str(i) for i in range(n)], [(str(a), str(b)) for a, b in es]))
+    return out
+
+
+def _seeded_products(count, seed):
+    rng = random.Random(seed)
+    makers = (
+        lambda: fx.random_tree(rng.randint(2, 7), rng),
+        lambda: fx.path_graph(rng.randint(1, 4)),
+        lambda: fx.hypercube(rng.randint(1, 3)),
+    )
+    out = []
+    while len(out) < count:
+        g = fx.product_graph(rng.choice(makers)(), rng.choice(makers)())
+        if g.n <= 40:
+            out.append(g)
+    return out
+
+
+RANDOM_GRAPHS = _random_connected_graphs(150, 17)
+MEDIAN_CASES = [
+    *fx.named_fixtures().values(),
+    *(fx.random_tree(n, random.Random(n)) for n in (5, 12, 30)),
+    *_seeded_products(16, 5),
+]
+SCAN_CASES = [(g, L1) for g in RANDOM_GRAPHS] + [
+    (g, metric) for g in MEDIAN_CASES for metric in (L1, LINF)
+]
+
+
+def _gap(d, quad):
+    x, y, u, v = quad
+    s = sorted([d[x, y] + d[u, v], d[x, u] + d[y, v], d[x, v] + d[y, u]])
+    return int(s[2] - s[1])
+
+
+def test_far_apart_delta_matches_full_scan():
+    for g, metric in SCAN_CASES:
+        rep = delta(g, metric)
+        value, _ = bf.delta_scan_brute(g.dist_matrix(metric))
+        assert (rep.value, rep.method) == (value, EXACT), (g, metric)
+
+
+def test_delta_witness_reaches_the_value():
+    for g, metric in SCAN_CASES:
+        rep = delta(g, metric)
+        if rep.value == 0:
+            assert rep.witness is None
+            continue
+        quad = g.indices_of(rep.witness)
+        assert _gap(g.dist_matrix(metric).astype(np.int64), quad) == 2 * rep.value
+
+
+def test_pruned_bigons_match_full_scan():
+    for g, metric in SCAN_CASES:
+        measure = g.dist_matrix(metric)
+        rep = bigon_thinness(g, metric)
+        want = bf.bigon_scan_brute(g, measure)
+        assert (rep.value, rep.method) == (want.value, want.method), (g, metric)
+        if rep.witness is None:
+            assert rep.value == 0
+        else:
+            pair = [tuple(g.indices_of(rep.witness))]
+            assert bf.bigon_scan_brute(g, measure, pair).value == rep.value
+
+
+def test_pruned_bigons_in_coneoff_metric_match_full_scan():
+    cases = [
+        (fx.grid_graph(3, 3), rows_family(3, 3)),
+        (fx.grid_graph(4, 3), {f"col{x}": [f"{x},{y}" for y in range(4)] for x in range(5)}),
+        (fx.grid_graph(2, 2), {"all": [f"{x},{y}" for x in range(3) for y in range(3)]}),
+        (fx.staircase(4), {"low": ["0,0", "1,0", "2,0"]}),
+    ]
+    for g, family in cases:
+        measure = cone_off(g, family, CLIQUE).base_distance_matrix()
+        rep = bigon_thinness_in(g, measure)
+        want = bf.bigon_scan_brute(g, measure)
+        assert (rep.value, rep.method) == (want.value, want.method)
+        pair = [tuple(g.indices_of(rep.witness))]
+        assert bf.bigon_scan_brute(g, measure, pair).value == rep.value
+
+
+def test_measure_above_the_distance_takes_the_full_scan():
+    # 2 d breaks the floor(d / 2) bound, so no pair may be skipped, and the
+    # witness is the first in row-major order
+    for g in [*MEDIAN_CASES, *RANDOM_GRAPHS[:40]]:
+        measure = 2 * g.dist
+        assert bigon_thinness_in(g, measure) == bf.bigon_scan_brute(g, measure)
+
+
+def test_tree_bigons_skip_the_scan(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tree has unique geodesics")
+
+    monkeypatch.setattr(diagnostics, "_bigon_gap", forbidden)
+    for metric in (L1, LINF):
+        rep = bigon_thinness(fx.random_tree(150, random.Random(2)), metric)
+        assert rep == diagnostics.BigonReport(0, None, EXACT)
+
+
+@pytest.mark.parametrize(
+    "g,metric,value",
+    [
+        # the corner pair is 12 apart and already reaches floor(12 / 2)
+        (fx.grid_graph(6, 6), L1, 6),
+        # the cube metric has diameter 1, which the first pair reaches
+        (fx.hypercube(5), LINF, 1),
+    ],
+)
+def test_bigon_scan_stops_after_the_first_pair(g, metric, value, monkeypatch):
+    calls = []
+    gap = diagnostics._bigon_gap
+
+    def spy(g, measure, x, y):
+        calls.append((x, y))
+        return gap(g, measure, x, y)
+
+    monkeypatch.setattr(diagnostics, "_bigon_gap", spy)
+    rep = bigon_thinness(g, metric)
+    assert (rep.value, len(calls)) == (value, 1)
+
+
+def test_delta_and_bigons_at_the_size_limit():
+    # 400 vertices, where the full scans took minutes; the thickest
+    # rectangle (19) gives both l1 values
+    g = fx.grid_graph(19, 19)
+    t0 = time.perf_counter()
+    assert delta(g, L1).value == 19
+    assert bigon_thinness(g, L1).value == 19
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_separating_medians_separates_inputs():

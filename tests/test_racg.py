@@ -16,6 +16,7 @@ from cubekit.racg import (
     SQUARES,
     DefiningGraph,
     _reduce,
+    _shortlex,
     ball,
     ball_walls,
     contracting_generators,
@@ -159,6 +160,15 @@ class TestNormalForm:
                     swapped = list(nf)
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                     assert nf <= tuple(swapped)
+
+    def test_topological_shortlex_matches_rescan_oracle(self):
+        rng = random.Random(5)
+        for vs, es in _random_defining_graphs(40, 13):
+            dg = dgn(vs, es)
+            for _ in range(50):
+                word = [rng.choice(vs) for _ in range(rng.randint(0, 24))]
+                for w in (word, _reduce(dg, word)):
+                    assert _shortlex(dg, w) == bf.shortlex_rescan_brute(dg, w)
 
 
 class TestBall:
