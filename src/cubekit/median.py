@@ -162,6 +162,22 @@ class ConvexityVerdict:
 # -- wall systems --------------------------------------------------------------
 
 
+def side_meets(sides: np.ndarray) -> np.ndarray:
+    """Boolean (2, 2, H, H) table: [a, b, j, k] says side a of wall j meets
+    side b of wall k, where side 0 of a wall is the True entries of its row
+    of the walls x vertices table ``sides`` and side 1 the rest."""
+    # one float32 product (exact: every count is at most n < 2**24);
+    # the other three quadrant counts follow from side sizes
+    s = np.asarray(sides, dtype=np.float32)
+    size, both = s.sum(axis=1), s @ s.T
+    meets = np.empty((2, 2, *both.shape), dtype=bool)
+    np.greater(both, 0, out=meets[0, 0])
+    np.less(both, size[:, None], out=meets[0, 1])
+    np.less(both, size[None, :], out=meets[1, 0])
+    np.greater(both - size[:, None], size[None, :] - s.shape[1], out=meets[1, 1])
+    return meets
+
+
 class WallSystem:
     """Halfspace data (walls x vertices) with the transversality relation.
 
@@ -574,15 +590,7 @@ class MedianGraph:
     def transverse(self) -> np.ndarray:
         """Boolean (H, H) table: all four quarter-space intersections nonempty."""
         if "transverse" not in self._cache:
-            # one float32 product (exact: every count is at most n < 2**24);
-            # the other three quarter-space counts follow from side sizes
-            s = self.sides.astype(np.float32)
-            size = s.sum(axis=1)
-            both = s @ s.T
-            trans = both > 0
-            trans &= both < size[:, None]
-            trans &= both < size[None, :]
-            trans &= both > size[:, None] + size[None, :] - self.n
+            trans = side_meets(self.sides).all(axis=(0, 1))
             np.fill_diagonal(trans, False)
             self._cache["transverse"] = trans
         return self._cache["transverse"]

@@ -5,8 +5,10 @@ a cyclic sequence of oriented edges that closes up, embeds, and has an even
 number of at least four sides.  Opposite edges of a polygon generate an
 equivalence relation on edges whose classes are the walls of the complex.
 Cutting a wall's edge class out of the 1-skeleton yields the wall's sides;
-orienting every wall consistently cubulates the wall space into a median
-graph whose hyperplanes recover the walls one for one.
+two walls cross exactly when they pass through a common polygon.  The
+walls of a complex form one ``WallSystem``, and orienting every wall
+consistently cubulates that wall space (Sageev, Proc. LMS 1995) into a
+median graph whose hyperplanes recover the walls one for one.
 
 Small-cancellation conditions live on the complex itself: pieces are the
 maximal shared boundary paths of distinct polygons, the metric condition
@@ -21,6 +23,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     ConsistencyError,
     GraphInputError,
@@ -28,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .formats import RawComplex
-from .median import MedianGraph, UnionFind
+from .median import MedianGraph, UnionFind, WallSystem, side_meets
 
 EDGE_CUBE = "edge-cube"
 CELL_CUBE = "cell-cube"
@@ -426,30 +430,15 @@ class Wall:
 
 
 def _cut_components(x, cut):
-    adj: dict[str, list[str]] = {v: [] for v in x.ids}
+    pos = {v: i for i, v in enumerate(x.ids)}
+    uf = UnionFind(len(pos))
     for eid, (a, b) in x.edges.items():
-        if eid in cut:
-            continue
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[str] = set()
-    comps = []
-    for v in x.ids:
-        if v in seen:
-            continue
-        comp = {v}
-        seen.add(v)
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for nb in adj[u]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.add(nb)
-                    queue.append(nb)
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: sorted(c))
-    return tuple(comps)
+        if eid not in cut:
+            uf.union(pos[a], pos[b])
+    comps: dict[int, set[str]] = {}
+    for v, i in pos.items():
+        comps.setdefault(uf.find(i), set()).add(v)
+    return tuple(sorted((frozenset(c) for c in comps.values()), key=sorted))
 
 
 def walls(x: PolygonalComplex) -> tuple[Wall, ...]:
@@ -475,9 +464,10 @@ def walls(x: PolygonalComplex) -> tuple[Wall, ...]:
     return tuple(out)
 
 
-def walls_cross(a: Wall, b: Wall) -> bool:
-    """Two walls cross exactly when they pass through a common polygon."""
-    return bool(set(a.polygons) & set(b.polygons))
+def _bits(rows) -> list[int]:
+    """Each row of a boolean table as an int whose bit i is column i."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 class DualCubeComplex:
@@ -487,11 +477,21 @@ class DualCubeComplex:
     complex vertex orients every wall toward its own side) by single-wall
     flips keeping all pairwise side intersections nonempty; edges join
     orientations differing on one wall.
+
+    ``system`` holds the walls as a WallSystem over the complex vertices:
+    ``sides[k, i]`` is true when vertex ``base.ids[i]`` (``vertex_index``
+    maps ids to columns) lies in side 0 of wall k, and two walls are
+    transverse exactly when they pass through a common polygon.
+    ``wall_of_edge`` maps every edge to its wall.
     """
 
-    def __init__(self, base, wall_list, graph, orientations, principal, hyperplane_walls):
+    def __init__(self, base, wall_list, vertex_index, system, graph,
+                 orientations, principal, hyperplane_walls):
         self.base = base
         self.walls = wall_list
+        self.vertex_index = vertex_index
+        self.wall_of_edge = {e: w.index for w in wall_list for e in w.edges}
+        self.system = system
         self.graph = graph
         self.orientations = orientations
         self.principal = principal
@@ -513,71 +513,70 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
                 "pieces; the wall space is degenerate"
             )
     h = len(ws)
+    index = {v: i for i, v in enumerate(x.ids)}
+    poly_pos = {p: i for i, p in enumerate(x.polygons)}
+    sides = np.zeros((h, len(index)), dtype=bool)
+    carriers = np.zeros((h, len(poly_pos)), dtype=np.float32)
+    for w in ws:
+        sides[w.index, [index[v] for v in w.sides[0]]] = True
+        carriers[w.index, [poly_pos[p] for p in w.polygons]] = 1
+    # walls cross exactly when they pass through a common polygon
+    transverse = carriers @ carriers.T > 0
+    np.fill_diagonal(transverse, False)
+    system = WallSystem(sides, transverse)
     if h == 0:
         graph = MedianGraph(("o",), ())
         principal = {v: "o" for v in x.ids}
-        return DualCubeComplex(x, ws, graph, {"o": ()}, principal, ())
+        return DualCubeComplex(
+            x, ws, index, system, graph, {"o": ()}, principal, ()
+        )
 
-    meets = [
-        [
-            [
-                [bool(ws[i].sides[a] & ws[j].sides[b]) for b in range(2)]
-                for j in range(h)
-            ]
-            for a in range(2)
-        ]
-        for i in range(h)
-    ]
+    # an orientation is an int whose bit k is the side chosen for wall k;
+    # clash[b][c][k] holds the walls j != k whose side c misses side b of k
+    quad = side_meets(sides)
+    apart = ~quad & ~np.eye(h, dtype=bool)
+    clash = [[_bits(apart[b, c]) for c in (0, 1)] for b in (0, 1)]
 
-    def name(sigma):
-        return "o" + "".join(map(str, sigma))
+    def name(o):
+        return "o" + format(o, f"0{h}b")[::-1]
 
-    seen: dict[tuple, str] = {}
-    queue = []
+    seen: dict[int, str] = {}
     principal = {}
-    for v in x.ids:
-        sigma = tuple(0 if v in ws[k].sides[0] else 1 for k in range(h))
-        principal[v] = name(sigma)
-        if sigma not in seen:
-            seen[sigma] = name(sigma)
-            queue.append(sigma)
-
-    head = 0
-    while head < len(queue):
-        sigma = queue[head]
-        head += 1
+    for v, o in zip(x.ids, _bits(~sides.T)):
+        principal[v] = seen.setdefault(o, name(o))
+    queue = list(seen)
+    for o in queue:
         for k in range(h):
-            b = 1 - sigma[k]
-            if not all(meets[k][b][j][sigma[j]] for j in range(h) if j != k):
+            b = (o >> k & 1) ^ 1
+            if ~o & clash[b][0][k] or o & clash[b][1][k]:
                 continue
-            tau = sigma[:k] + (b,) + sigma[k + 1:]
-            if tau not in seen:
+            t = o ^ (1 << k)
+            if t not in seen:
                 if len(seen) >= DUAL_VERTEX_CAP:
                     raise SizeCapError(
                         f"dual complex exceeds {DUAL_VERTEX_CAP} vertices"
                     )
-                seen[tau] = name(tau)
-                queue.append(tau)
+                seen[t] = name(t)
+                queue.append(t)
 
     edge_set = set()
-    for sigma in seen:
+    for o, vid in seen.items():
         for k in range(h):
-            tau = sigma[:k] + (1 - sigma[k],) + sigma[k + 1:]
-            if tau in seen:
-                edge_set.add(tuple(sorted((seen[sigma], seen[tau]))))
+            t = o ^ (1 << k)
+            if t in seen:
+                edge_set.add(tuple(sorted((vid, seen[t]))))
     graph = MedianGraph(sorted(seen.values()), sorted(edge_set))
     graph.require_median()
 
-    orientations = {vid: sigma for sigma, vid in seen.items()}
+    code = {vid: o for o, vid in seen.items()}
     labels = []
     for hp in graph.hyperplanes():
         ks = set()
         for ida, idb in hp.dual_edges:
-            sa, sb = orientations[ida], orientations[idb]
-            diff = [k for k in range(h) if sa[k] != sb[k]]
-            if len(diff) != 1:
+            flip = code[ida] ^ code[idb]
+            if flip & (flip - 1):
                 raise ConsistencyError("a dual edge flips more than one wall")
-            ks.add(diff[0])
+            ks.add(flip.bit_length() - 1)
         if len(ks) != 1:
             raise ConsistencyError(
                 f"hyperplane {hp.index} mixes walls {sorted(ks)}"
@@ -585,7 +584,12 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
         labels.append(ks.pop())
     if sorted(labels) != list(range(h)):
         raise ConsistencyError("hyperplanes do not biject with walls")
-    return DualCubeComplex(x, ws, graph, orientations, principal, tuple(labels))
+    orientations = {
+        vid: tuple(o >> k & 1 for k in range(h)) for o, vid in seen.items()
+    }
+    return DualCubeComplex(
+        x, ws, index, system, graph, orientations, principal, tuple(labels)
+    )
 
 
 @dataclass(frozen=True)
@@ -613,13 +617,9 @@ def classify_maximal_cubes(dc: DualCubeComplex) -> ClassificationReport:
     small-cancellation regime rather than raising.
     """
     x = dc.base
-    wall_of_edge = {}
-    for w in dc.walls:
-        for e in w.edges:
-            wall_of_edge[e] = w.index
     poly_sets: dict[frozenset[int], str] = {}
     for pid in sorted(x.polygons):
-        s = frozenset(wall_of_edge[e] for e in x.boundary_edges[pid])
+        s = frozenset(dc.wall_of_edge[e] for e in x.boundary_edges[pid])
         poly_sets.setdefault(s, pid)
     isolated = {w.index: w.edges[0] for w in dc.walls if not w.polygons}
 
@@ -682,7 +682,7 @@ def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
     for t in mine:
         if t.kind == EDGE_CUBE:
             a, b = x.edges[t.ref]
-            k = next(w.index for w in dc.walls if t.ref in w.edges)
+            k = dc.wall_of_edge[t.ref]
             side = dc.walls[k].sides[dc.orientations[v][k]]
             u = a if a in side else b
             return ProjectionPoint(VERTEX_POINT, ("vertex", u), (), frozenset({u}))
@@ -742,33 +742,6 @@ def _wall_meets_cell(wall: Wall, cell) -> bool:
     return False
 
 
-def _side_of(wall: Wall, vertices) -> int | None:
-    for i, side in enumerate(wall.sides):
-        if vertices <= side:
-            return i
-    return None
-
-
-def _best_family(members, compatible):
-    """Largest pairwise-compatible subset, exact by branch and bound."""
-    members = sorted(members)
-    best: list = []
-
-    def grow(chosen, rest):
-        nonlocal best
-        if len(chosen) + len(rest) <= len(best):
-            return
-        if not rest:
-            best = list(chosen)
-            return
-        head, *tail = rest
-        grow(chosen + [head], [r for r in tail if compatible(head, r)])
-        grow(chosen, tail)
-
-    grow([], members)
-    return tuple(best)
-
-
 @dataclass(frozen=True)
 class TransferReport:
     """Separation in the dual against separation in the complex.
@@ -798,6 +771,15 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     A wall separates the projections when it misses both carrier cells and
     the carriers sit on opposite sides; disjointness of walls means no
     shared polygon, disjointness of dual hyperplanes means not transverse.
+
+    Both families come from the WallSystem chain DP, which tests only
+    neighbours in halfspace order.  For the walls this is exact because
+    walls cross only inside polygons (Wise, "Cubulating small cancellation
+    groups", GAFA 14, 2004).  Two walls sharing no polygon are nested: the
+    edges and carrier polygons of each lie on one side of the other, so one
+    quadrant is empty.  And nested walls s < t < r, where neither s, t nor
+    t, r share a polygon, share none either: its boundary would have
+    vertices on both sides of t and so an edge of t.
     """
     pu = dual_projection(x, dc, u, report)
     pw = dual_projection(x, dc, w, report)
@@ -807,17 +789,19 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     mask = sum(1 << j for j in g.separating(u, w))
     dual_family = g.wall_system._chain_in_pair(mask, rep)[1]
 
-    cand = []
-    for wall in dc.walls:
-        if _wall_meets_cell(wall, pu.cell) or _wall_meets_cell(wall, pw.cell):
-            continue
-        su = _side_of(wall, pu.carrier)
-        sw = _side_of(wall, pw.carrier)
-        if su is not None and sw is not None and su != sw:
-            cand.append(wall.index)
-    wall_family = _best_family(
-        cand, lambda i, j: not walls_cross(dc.walls[i], dc.walls[j])
+    on_u, on_w = (
+        dc.system.sides[:, [dc.vertex_index[v] for v in p.carrier]]
+        for p in (pu, pw)
     )
+    apart = on_u.all(axis=1) & ~on_w.any(axis=1)
+    apart |= on_w.all(axis=1) & ~on_u.any(axis=1)
+    mask = 0
+    for k in np.flatnonzero(apart).tolist():
+        wall = dc.walls[k]
+        if not any(_wall_meets_cell(wall, p.cell) for p in (pu, pw)):
+            mask |= 1 << k
+    ends = tuple(dc.vertex_index[min(p.carrier)] for p in (pu, pw))
+    wall_family = tuple(sorted(dc.system._chain_in_pair(mask, ends)[1]))
     return TransferReport(
         u, w, pu, pw, len(dual_family), len(wall_family), dual_family, wall_family
     )

@@ -741,6 +741,48 @@ def wall_classes_brute(x):
     return sorted(classes, key=sorted)
 
 
+def dual_orientations_brute(x):
+    """Vertex names and single-flip edges of the cubulation of x's walls.
+
+    Walls are the edge classes of ``wall_classes_brute`` with their sides
+    found by search, lowest sorted side first.  Every one of the 2^h
+    orientations whose chosen sides pairwise intersect is a vertex, named
+    "o" followed by the chosen side of each wall; a finite wallspace's
+    cubulation is connected, so that is the whole vertex set.
+    """
+    sides = []
+    for cls in wall_classes_brute(x):
+        adj = {v: set() for v in x.ids}
+        for e, (a, b) in x.edges.items():
+            if e not in cls:
+                adj[a].add(b)
+                adj[b].add(a)
+        comps, left = [], set(x.ids)
+        while left:
+            comp = set(bfs_dist(adj, min(left)))
+            comps.append(comp)
+            left -= comp
+        if len(comps) != 2:
+            raise ValueError("every wall must have two sides")
+        sides.append(sorted(comps, key=sorted))
+    h = len(sides)
+    names = {
+        "o" + "".join(map(str, sigma))
+        for sigma in itertools.product((0, 1), repeat=h)
+        if all(
+            sides[i][sigma[i]] & sides[j][sigma[j]]
+            for i, j in itertools.combinations(range(h), 2)
+        )
+    }
+    edges = set()
+    for name in names:
+        for k in range(1, h + 1):
+            other = name[:k] + ("1" if name[k] == "0" else "0") + name[k + 1:]
+            if other in names:
+                edges.add(tuple(sorted((name, other))))
+    return names, edges
+
+
 def min_circular_cover_brute(m, arcs):
     """Exact minimum circular cover by subset enumeration."""
     full = set(range(m))

@@ -6,7 +6,12 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from bruteforce import best_family_brute, min_circular_cover_brute, wall_classes_brute
+from bruteforce import (
+    best_family_brute,
+    dual_orientations_brute,
+    min_circular_cover_brute,
+    wall_classes_brute,
+)
 from cubekit.errors import (
     ConsistencyError,
     GraphInputError,
@@ -32,7 +37,6 @@ from cubekit.polygonal import (
     polygonal_sc_check,
     separation_transfer,
     walls,
-    walls_cross,
 )
 from fixtures import (
     corner_squares_complex,
@@ -57,6 +61,10 @@ def to_nx(g):
     h.add_nodes_from(g.ids)
     h.add_edges_from((g.ids[a], g.ids[b]) for a, b in g.edges)
     return h
+
+
+def share_polygon(a, b):
+    return bool(set(a.polygons) & set(b.polygons))
 
 
 def sc_fixtures():
@@ -369,14 +377,14 @@ class TestWalls:
             dual_cube_complex(x)
 
     def test_walls_cross(self):
-        ws = walls(square_complex())
-        assert walls_cross(ws[0], ws[1])
-        wc = walls(square_chain_complex(3))
-        vertical = next(w for w in wc if "v0" in w.edges)
-        horiz = [w for w in wc if w is not vertical]
-        assert all(walls_cross(vertical, w) for w in horiz)
+        assert dual_cube_complex(square_complex()).system.transverse[0, 1]
+        dc = dual_cube_complex(square_chain_complex(3))
+        trans = dc.system.transverse
+        vertical = next(w.index for w in dc.walls if "v0" in w.edges)
+        horiz = [w.index for w in dc.walls if w.index != vertical]
+        assert all(trans[vertical, k] for k in horiz)
         assert not any(
-            walls_cross(a, b) for a, b in itertools.combinations(horiz, 2)
+            trans[a, b] for a, b in itertools.combinations(horiz, 2)
         )
 
 
@@ -427,6 +435,11 @@ class TestDualComplex:
         dc = dual_cube_complex(PolygonalComplex(["a", "b"], {}, {}))
         assert dc.graph.n == 1
         assert dc.principal == {"a": "o", "b": "o"}
+
+    def test_vertex_cap(self):
+        # 13 pairwise crossing walls: the dual is the 13-cube, 8192 vertices
+        with pytest.raises(SizeCapError, match="exceeds 4096"):
+            dual_cube_complex(ngon_complex(26))
 
     def test_fan_dual_is_median_anyway(self):
         dc = dual_cube_complex(three_square_fan_complex())
@@ -592,7 +605,12 @@ class TestSeparationTransfer:
             sw = next(i for i, s in enumerate(w.sides) if tr.point_w.carrier <= s)
             assert su != sw
         for a, b in itertools.combinations(tr.wall_family, 2):
-            assert not walls_cross(dc.walls[a], dc.walls[b])
+            assert not share_polygon(dc.walls[a], dc.walls[b])
+        # a fresh dual, so the reverse pair shares no cached chain
+        back = separation_transfer(
+            x, dual_cube_complex(x), dc.principal["t6"], dc.principal["t0"]
+        )
+        assert back.wall_family == tr.wall_family
 
     def test_chain_eight(self):
         x = square_chain_complex(8)
@@ -618,39 +636,47 @@ class TestSeparationTransfer:
         assert tr.holds
 
     def test_families_match_bruteforce(self):
-        for x in (square_chain_complex(5), hex_chain_complex(3)):
+        cases = {**sc_fixtures(), "square-chain-5": square_chain_complex(5)}
+        for name, x in cases.items():
             dc = dual_cube_complex(x)
             g = dc.graph
-            ids = sorted(x.ids)
-            u, w = dc.principal[ids[0]], dc.principal[ids[-1]]
-            tr = separation_transfer(x, dc, u, w)
-            seps = list(g.separating(u, w))
-            assert tr.dual_disjoint == best_family_brute(
-                seps, lambda i, j: not g.transverse[i, j]
-            )
-            cand = []
-            for wall in dc.walls:
-                if tr.point_u.carrier <= wall.sides[0]:
-                    su = 0
-                elif tr.point_u.carrier <= wall.sides[1]:
-                    su = 1
-                else:
-                    continue
-                cell_u, cell_w = tr.point_u.cell, tr.point_w.cell
-                if cell_u[0] == "polygon" and cell_u[1] in wall.polygons:
-                    continue
-                if cell_w[0] == "polygon" and cell_w[1] in wall.polygons:
-                    continue
-                if cell_u[0] == "edge" and cell_u[1] in wall.edges:
-                    continue
-                if cell_w[0] == "edge" and cell_w[1] in wall.edges:
-                    continue
-                if tr.point_w.carrier <= wall.sides[1 - su]:
-                    cand.append(wall.index)
-            assert tr.wall_disjoint == best_family_brute(
-                cand,
-                lambda i, j: not walls_cross(dc.walls[i], dc.walls[j]),
-            )
+            rep = classify_maximal_cubes(dc)
+            for u, w in itertools.permutations(g.ids, 2):
+                tr = separation_transfer(x, dc, u, w, rep)
+                seps = list(g.separating(u, w))
+                assert tr.dual_disjoint == best_family_brute(
+                    seps, lambda i, j: not g.transverse[i, j]
+                ), (name, u, w)
+                cand = []
+                for wall in dc.walls:
+                    if tr.point_u.carrier <= wall.sides[0]:
+                        su = 0
+                    elif tr.point_u.carrier <= wall.sides[1]:
+                        su = 1
+                    else:
+                        continue
+                    cell_u, cell_w = tr.point_u.cell, tr.point_w.cell
+                    if cell_u[0] == "polygon" and cell_u[1] in wall.polygons:
+                        continue
+                    if cell_w[0] == "polygon" and cell_w[1] in wall.polygons:
+                        continue
+                    if cell_u[0] == "edge" and cell_u[1] in wall.edges:
+                        continue
+                    if cell_w[0] == "edge" and cell_w[1] in wall.edges:
+                        continue
+                    if tr.point_w.carrier <= wall.sides[1 - su]:
+                        cand.append(wall.index)
+                assert tr.wall_disjoint == best_family_brute(
+                    cand,
+                    lambda i, j: not share_polygon(dc.walls[i], dc.walls[j]),
+                ), (name, u, w)
+                fam = tr.wall_family
+                assert len(fam) == tr.wall_disjoint
+                assert list(fam) == sorted(set(fam)), (name, u, w)
+                # each one misses both cells and splits the carriers
+                assert set(fam) <= set(cand), (name, u, w)
+                for a, b in itertools.combinations(fam, 2):
+                    assert not share_polygon(dc.walls[a], dc.walls[b]), (name, u, w)
 
     def test_dual_family_is_a_separating_disjoint_chain(self):
         x = hex_chain_complex(3)
@@ -720,6 +746,29 @@ class TestInvariants:
                         for pid in combo[1:]:
                             common &= set(x.boundary[pid])
                         assert common, combo
+
+    def test_crossing_table_is_shared_polygons_and_rest_nest(self):
+        for name, x in sc_fixtures().items():
+            dc = dual_cube_complex(x)
+            trans = dc.system.transverse
+            assert not trans.diagonal().any(), name
+            for a, b in itertools.permutations(dc.walls, 2):
+                crossing = share_polygon(a, b)
+                assert trans[a.index, b.index] == crossing, (name, a.index, b.index)
+                if not crossing:
+                    # the premise of the chain DP: one quadrant is empty
+                    assert any(
+                        not sa & sb for sa in a.sides for sb in b.sides
+                    ), (name, a.index, b.index)
+
+    def test_dual_matches_orientation_enumeration(self):
+        for name, x in sc_fixtures().items():
+            if len(walls(x)) > 12:
+                continue
+            g = dual_cube_complex(x).graph
+            names, edges = dual_orientations_brute(x)
+            assert set(g.ids) == names, name
+            assert {tuple(sorted((g.ids[a], g.ids[b]))) for a, b in g.edges} == edges, name
 
     def test_duals_are_median(self):
         for x in sc_fixtures().values():
