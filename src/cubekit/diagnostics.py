@@ -475,7 +475,8 @@ def delta(
     if n > size_limit and sample is None:
         raise SizeCapError(
             f"exact four-point scan is capped at {size_limit} vertices "
-            f"(got {n}); pass a sample size for a lower bound"
+            f"(got {n}); a sampled lower bound is library-only: "
+            "delta(g, sample=k)"
         )
     d = g.dist_matrix(metric).astype(np.int64)
     if n > size_limit:
@@ -707,43 +708,33 @@ def _apex_graph(base: MedianGraph, members):
     return graph, provenance, apexes
 
 
-def _assert_sandwich(base, clique_graph, apex_graph, check_pairs, seed):
+def _assert_sandwich(base, clique_graph, apex_graph):
+    """dist_CLIQUE <= dist_APEX <= 2 dist_CLIQUE on every base pair; the
+    base vertices come first in both graphs."""
     n = base.n
     dc = clique_graph.dist
-    da = apex_graph.dist
-    if n * (n - 1) // 2 <= check_pairs:
-        pairs = itertools.combinations(range(n), 2)
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            tuple(rng.sample(range(n), 2)) for _ in range(check_pairs)
+    da = apex_graph.dist[:n, :n]
+    bad = np.argwhere((da < dc) | (da > 2 * dc))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ConsistencyError(
+            f"cone-off sandwich fails at ({base.ids[i]!r}, {base.ids[j]!r}): "
+            f"clique {int(dc[i, j])}, apex {int(da[i, j])}"
         )
-    for i, j in pairs:
-        c, a = int(dc[i, j]), int(da[i, j])
-        if not (c <= a <= 2 * c):
-            raise ConsistencyError(
-                f"cone-off sandwich fails at ({base.ids[i]!r}, {base.ids[j]!r}): "
-                f"clique {c}, apex {a}"
-            )
 
 
-def cone_off(
-    base: MedianGraph,
-    family,
-    kind: str = CLIQUE,
-    check_pairs: int = 200,
-    seed: int = 0,
-) -> ConeOff:
+def cone_off(base: MedianGraph, family, kind: str = CLIQUE) -> ConeOff:
     """Cone-off over a family of convex subcomplexes.
 
     CLIQUE joins every vertex pair sharing a member; APEX adds one apex
     vertex per member.  Both graphs are built and the distance sandwich
-    dist_CLIQUE <= dist_APEX <= 2 dist_CLIQUE is asserted on sampled pairs.
+    dist_CLIQUE <= dist_APEX <= 2 dist_CLIQUE is asserted on every pair of
+    base vertices.
     """
     members = _validated_members(base, family)
     clique_graph, clique_prov = _clique_graph(base, members)
     apex_graph, apex_prov, apexes = _apex_graph(base, members)
-    _assert_sandwich(base, clique_graph, apex_graph, check_pairs, seed)
+    _assert_sandwich(base, clique_graph, apex_graph)
     if kind == CLIQUE:
         return ConeOff(base, CLIQUE, members, clique_graph, clique_prov, {})
     if kind == APEX:

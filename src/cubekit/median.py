@@ -209,7 +209,7 @@ class WallSystem:
         ]
         self._pairs: list[tuple[int, tuple[int, int]]] | None = None
         self._chain_memo: dict[int, tuple[int, tuple[int, ...], tuple | None]] = {}
-        self._pair_chain_memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._pair_chain_memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
     @property
     def pairs(self) -> list[tuple[int, tuple[int, int]]]:
@@ -288,7 +288,7 @@ class WallSystem:
         Two disjoint walls separating the same pair are strictly nested, so
         sorting by halfspace size makes this a longest-increasing-chain DP.
         """
-        hit = self._pair_chain_memo.get(mm)
+        hit = self._pair_chain_memo.get((mm, rep))
         if hit is not None:
             return hit
         members = []
@@ -297,10 +297,7 @@ class WallSystem:
             low = rest & -rest
             members.append(low.bit_length() - 1)
             rest ^= low
-        idx = np.array(members, dtype=np.intp)
-        toward = np.where(self.sides[idx, rep[0]], self._side_count[idx],
-                          self.nv - self._side_count[idx])
-        members = [members[i] for i in np.argsort(toward, kind="stable")]
+        members = self.order_chain(members, rep)
         k = len(members)
         f = [1] * k
         parent = [-1] * k
@@ -320,7 +317,7 @@ class WallSystem:
                 cur = parent[cur]
             chain.reverse()
             out = (f[top], tuple(chain))
-        self._pair_chain_memo[mm] = out
+        self._pair_chain_memo[(mm, rep)] = out
         return out
 
     def wall_side(self, a: int, c: int):

@@ -4,7 +4,9 @@ Vertices are involutive generators and edges are commutation relations.
 This module solves the word problem by commutation rewriting, builds Cayley
 balls as graphs, computes their walls and crossings exactly from the Tits
 representation, classifies contracting generators, and iterates the
-canonical join decomposition that decides relative hyperbolicity.
+canonical join decomposition that decides relative hyperbolicity.  The
+maximal large joins come from the closed join sides, the intersections of
+generator links, built one link at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ SQUARES = "squares"
 LARGE_JOINS = "large_joins"
 
 BALL_VERTEX_CAP = 20000
-JOIN_ENUM_CAP = 14
+# closed join sides (intersections of generator links) in maximal_large_joins:
+# n generators have at most 2^n, so every graph on 14 fits, and K_{2x14}
+# (28 generators, exactly this many) takes 0.12 s (timings in CHANGES.md)
+JOIN_ENUM_CAP = 1 << 14
 # Tits matrices and roots whose entries pass this are refused: it keeps
 # R @ B @ R.T (at most k^2 * bound^2) and one more layer inside int64 for
 # every rank whose matrices fit in memory
@@ -352,49 +357,45 @@ def ball_walls(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> BallWal
 # -- joins and the canonical decomposition ---------------------------------------------
 
 
-def maximal_large_joins(
-    dg: DefiningGraph, cap: int = JOIN_ENUM_CAP
-) -> tuple[frozenset[str], ...]:
+def maximal_large_joins(dg: DefiningGraph) -> tuple[frozenset[str], ...]:
     """Vertex sets of the inclusion-maximal large joins.
 
-    A join A * B is large when neither side is complete.  Enumeration closes
-    every seed side under common-neighbourhoods, which reaches every maximal
-    join pair; exhaustive at small generator counts only.
+    A join A * B is large when neither side is complete.  With N(S) the
+    common neighbours of S (N of the empty set is every generator), every
+    join lies in the join of a closed pair a = N(b), b = N(a), and the closed
+    sides are exactly the intersections of vertex links (the closed sets of
+    a Galois connection; Ganter & Wille, Formal Concept Analysis, 1999).
+    They are built one link at a time, at most JOIN_ENUM_CAP of them.
     """
-    n = len(dg.vertices)
-    if n > cap:
-        raise SizeCapError(
-            f"join enumeration is exhaustive only up to {cap} generators (got {n})"
-        )
     verts = dg.vertices
-    adj = dg.adj
+    n = len(verts)
+    links = [sum(1 << dg.rank[u] for u in dg.adj[v]) for v in verts]
+    sides = {(1 << n) - 1}
+    for v, link in zip(verts, links):
+        sides |= {s & link for s in sides}
+        if len(sides) > JOIN_ENUM_CAP:
+            raise SizeCapError(
+                f"join enumeration passes JOIN_ENUM_CAP = {JOIN_ENUM_CAP} closed "
+                f"sides (intersections of generator links) at generator {v!r}"
+            )
 
-    def common_neighbours(side):
-        return frozenset(
-            v for v in verts if v not in side and all(x in adj[v] for x in side)
-        )
+    def members(side):
+        return [i for i in range(n) if side >> i & 1]
 
-    pairs = set()
-    for bits in range(1, 1 << n):
-        A = frozenset(verts[i] for i in range(n) if bits >> i & 1)
-        B = common_neighbours(A)
-        if not B:
-            continue
-        while True:
-            A2 = common_neighbours(B)
-            B2 = common_neighbours(A2)
-            if A2 == A and B2 == B:
-                break
-            A, B = A2, B2
-        if not A or dg.is_complete_set(A) or dg.is_complete_set(B):
-            continue
-        pairs.add(frozenset((A, B)))
-    sets = {frozenset().union(*pair) for pair in pairs}
+    def complete(side):  # true for the empty side too
+        return all(side & ~links[i] == 1 << i for i in members(side))
+
+    joins = set()
+    for a in sides:
+        b = sum(1 << i for i in range(n) if a & links[i] == a)
+        if not complete(a) and not complete(b):
+            joins.add(a | b)
+    maximal = []
+    for s in sorted(joins, key=int.bit_count, reverse=True):
+        if all(s & t != s for t in maximal):
+            maximal.append(s)
     return tuple(
-        sorted(
-            (s for s in sets if not any(s < t for t in sets)),
-            key=sorted,
-        )
+        sorted((frozenset(verts[i] for i in members(s)) for s in maximal), key=sorted)
     )
 
 
@@ -419,14 +420,12 @@ class DecompositionVerdict:
     witness: str | None
 
 
-def validate_decomposition(
-    dg: DefiningGraph, members, cap: int = JOIN_ENUM_CAP
-) -> DecompositionVerdict:
+def validate_decomposition(dg: DefiningGraph, members) -> DecompositionVerdict:
     """Check the three join-decomposition conditions independently."""
     mem = [frozenset(dg._check(v) for v in m) for m in members]
     witness = None
     cover = True
-    for J in maximal_large_joins(dg, cap):
+    for J in maximal_large_joins(dg):
         if not any(J <= m for m in mem):
             cover = False
             witness = f"large join {sorted(J)} lies in no member"
@@ -468,9 +467,7 @@ class JoinDecompositionReport:
     trivial: bool
 
 
-def j_sequence(
-    dg: DefiningGraph, seed: str = SQUARES, cap: int = JOIN_ENUM_CAP
-) -> JoinDecompositionReport:
+def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionReport:
     """Iterate the canonical decomposition to its fixed point.
 
     Each step groups the current members by non-complete intersections and
@@ -479,7 +476,7 @@ def j_sequence(
     if seed == SQUARES:
         current = sorted({frozenset(q) for q in dg.induced_squares()}, key=sorted)
     elif seed == LARGE_JOINS:
-        current = sorted(set(maximal_large_joins(dg, cap)), key=sorted)
+        current = sorted(set(maximal_large_joins(dg)), key=sorted)
     else:
         raise GraphInputError(f"unknown seed {seed!r}")
     trace = [tuple(current)]
@@ -498,7 +495,7 @@ def j_sequence(
         current = nxt
         trace.append(tuple(current))
     if current:
-        verdict = validate_decomposition(dg, current, cap)
+        verdict = validate_decomposition(dg, current)
         if not verdict.ok:
             raise ConsistencyError(
                 f"fixed point is not a join decomposition: {verdict.witness}"
@@ -512,10 +509,8 @@ def j_sequence(
     )
 
 
-def j_infinity(
-    dg: DefiningGraph, seed: str = SQUARES, cap: int = JOIN_ENUM_CAP
-) -> tuple[frozenset[str], ...]:
-    return j_sequence(dg, seed, cap).members
+def j_infinity(dg: DefiningGraph, seed: str = SQUARES) -> tuple[frozenset[str], ...]:
+    return j_sequence(dg, seed).members
 
 
 # -- generator verdicts and the relative-hyperbolicity report --------------------------
@@ -529,9 +524,7 @@ class GeneratorVerdicts:
     join_peripherals: tuple[frozenset[str], ...]
 
 
-def contracting_generators(
-    dg: DefiningGraph, cap: int = JOIN_ENUM_CAP
-) -> GeneratorVerdicts:
+def contracting_generators(dg: DefiningGraph) -> GeneratorVerdicts:
     """A generator's wall is contracting exactly when the generator avoids
     every induced square; also reports both weak peripheral collections."""
     sq = dg.square_vertices()
@@ -539,7 +532,7 @@ def contracting_generators(
         contracting=tuple((v, v not in sq) for v in dg.vertices),
         square_vertices=sq,
         star_peripherals=tuple(sorted({dg.star(u) for u in sq}, key=sorted)),
-        join_peripherals=maximal_large_joins(dg, cap),
+        join_peripherals=maximal_large_joins(dg),
     )
 
 
@@ -551,10 +544,8 @@ class RelHypReport:
     meaning: str
 
 
-def relhyp_report(
-    dg: DefiningGraph, seed: str = SQUARES, cap: int = JOIN_ENUM_CAP
-) -> RelHypReport:
-    rep = j_sequence(dg, seed, cap)
+def relhyp_report(dg: DefiningGraph, seed: str = SQUARES) -> RelHypReport:
+    rep = j_sequence(dg, seed)
     rh = not rep.trivial
     if rh and rep.members:
         meaning = (

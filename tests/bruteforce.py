@@ -499,6 +499,42 @@ def shortlex_rescan_brute(dg, letters) -> list[str]:
     return out
 
 
+def maximal_large_joins_brute(dg) -> tuple[frozenset[str], ...]:
+    """Maximal large joins by closing every nonempty vertex subset A to the
+    pair (N(N(A)), N(A)): 2^n subsets."""
+    n = len(dg.vertices)
+    verts = dg.vertices
+    adj = dg.adj
+
+    def common_neighbours(side):
+        return frozenset(
+            v for v in verts if v not in side and all(x in adj[v] for x in side)
+        )
+
+    pairs = set()
+    for bits in range(1, 1 << n):
+        A = frozenset(verts[i] for i in range(n) if bits >> i & 1)
+        B = common_neighbours(A)
+        if not B:
+            continue
+        while True:
+            A2 = common_neighbours(B)
+            B2 = common_neighbours(A2)
+            if A2 == A and B2 == B:
+                break
+            A, B = A2, B2
+        if not A or dg.is_complete_set(A) or dg.is_complete_set(B):
+            continue
+        pairs.add(frozenset((A, B)))
+    sets = {frozenset().union(*pair) for pair in pairs}
+    return tuple(
+        sorted(
+            (s for s in sets if not any(s < t for t in sets)),
+            key=sorted,
+        )
+    )
+
+
 def count_cycles_through_edge(adj: dict[str, set[str]], edge, length: int, cap: int) -> int:
     """Simple cycles of exactly `length` edges through `edge`, counted once
     per cyclic class (each undirected cycle is found exactly once)."""

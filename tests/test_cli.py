@@ -392,6 +392,21 @@ class TestRacgCommands:
         assert results["peripherals"]["value"] == []
         assert "trace" in results
 
+    def test_sixteen_generators_past_the_old_subset_scan(self, files, capsys):
+        # C4 with a 12-vertex path hanging off corner a: 16 generators
+        path = [f"p{i}" for i in range(12)]
+        text = SQUARE + "".join(f"vertex {v}\n" for v in path)
+        text += "".join(f"edge {u} {w}\n" for u, w in zip(["a"] + path, path))
+        g = files("g", text)
+        code, rep = run_json(capsys, ["racg", "relhyp", g])
+        assert code == 0
+        results = {r["quantity"]: r for r in rep["results"]}
+        assert results["peripherals"]["value"] == [["a", "b", "c", "d"]]
+        code, rep = run_json(capsys, ["racg", "contracting", g])
+        assert code == 0
+        results = {r["quantity"]: r for r in rep["results"]}
+        assert results["join_peripherals"]["value"] == [["a", "b", "c", "d"]]
+
 
 class TestScCommand:
     def test_pass(self, files, capsys):

@@ -718,6 +718,16 @@ def test_coneoff_sandwich_on_all_pairs():
     assert (da <= 2 * dc).all()
 
 
+def test_coneoff_sandwich_is_checked_on_every_pair(monkeypatch):
+    # an apex graph without apexes: row ends are 1 apart in the clique
+    # cone-off but 3 apart here, past twice the clique distance
+    monkeypatch.setattr(
+        diagnostics, "_apex_graph", lambda base, members: (base, {}, {})
+    )
+    with pytest.raises(ConsistencyError, match="sandwich fails at .*clique 1, apex 3"):
+        cone_off(fx.grid_graph(3, 3), rows_family(3, 3), CLIQUE)
+
+
 def test_coneoff_provenance_names_members():
     g = fx.grid_graph(3, 3)
     co = cone_off(g, rows_family(3, 3), CLIQUE)

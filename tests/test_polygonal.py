@@ -612,6 +612,17 @@ class TestSeparationTransfer:
         )
         assert back.wall_family == tr.wall_family
 
+    def test_reverse_pair_on_one_dual_gets_its_own_chain(self):
+        # one memo serves both directions, and each must keep its own order
+        x = square_chain_complex(6)
+        dc = dual_cube_complex(x)
+        u, w = dc.graph.ids[0], dc.graph.ids[-1]
+        there = separation_transfer(x, dc, u, w)
+        back = separation_transfer(x, dc, w, u)
+        fresh = separation_transfer(x, dual_cube_complex(x), w, u)
+        assert there.dual_family == (1, 2, 3, 4, 5, 6)
+        assert back.dual_family == fresh.dual_family == (6, 5, 4, 3, 2, 1)
+
     def test_chain_eight(self):
         x = square_chain_complex(8)
         dc = dual_cube_complex(x)

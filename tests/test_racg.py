@@ -394,10 +394,25 @@ class TestJoins:
                         break
                 assert found
 
+    def test_match_subset_scan_oracle(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 11)
+            p = rng.random()
+            vs = [f"g{i}" for i in range(n)]
+            es = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
+            dg = dgn(vs, es)
+            assert maximal_large_joins(dg) == bf.maximal_large_joins_brute(dg)
+
     def test_enumeration_cap(self):
-        dg = dgn([f"g{i}" for i in range(15)], [])
-        with pytest.raises(SizeCapError):
-            maximal_large_joins(dg)
+        # 15 isolated generators: two closed sides (all and none), no join
+        assert maximal_large_joins(dgn([f"g{i}" for i in range(15)], [])) == ()
+        # K_{2x15}: each link is all but its own antipodal pair, so the 2^15
+        # sets of pairs give 2^15 closed sides, past JOIN_ENUM_CAP
+        vs = [f"{c}{i}" for i in range(15) for c in "xy"]
+        es = [(a, b) for a, b in itertools.combinations(vs, 2) if a[1:] != b[1:]]
+        with pytest.raises(SizeCapError, match="JOIN_ENUM_CAP"):
+            maximal_large_joins(dgn(vs, es))
 
 
 class TestClosure:
@@ -452,10 +467,13 @@ class TestJSequence:
 
     def test_seed_invariance_on_random_graphs(self):
         rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randint(2, 8)
+        # 40 small graphs, then 6 past the 14 generators of a subset scan
+        sizes = [(2, 8, 0.4)] * 40 + [(15, 25, None)] * 6
+        for lo, hi, p in sizes:
+            n = rng.randint(lo, hi)
+            p = p or rng.uniform(0.15, 0.35)
             vs = [f"g{i}" for i in range(n)]
-            es = [e for e in itertools.combinations(vs, 2) if rng.random() < 0.4]
+            es = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
             dg = dgn(vs, es)
             assert set(j_sequence(dg, SQUARES).members) == set(
                 j_sequence(dg, LARGE_JOINS).members
