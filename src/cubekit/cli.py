@@ -8,13 +8,18 @@ Every report carries the input digests, the parameters, a list of results
 tagged with their method (exact or lower_bound), the statement
 each command checks, and the wall-clock duration.  Exit codes: 0 for a
 computed or passing result, 1 when a pass/fail verdict is negative, 2 for
-input errors, 3 when an internal cross-check fails (a bug), and 4 when the
-input exceeds the size cap of an exact computation.
+input errors, 3 for a bug (a failed internal cross-check or any unexpected
+exception), and 4 when the input exceeds the size cap of an exact
+computation.
+
+``main`` may be called any number of times in one process; the argparse
+tree is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -38,7 +43,7 @@ from .diagnostics import (
     max_grid,
     max_thick_rectangle,
 )
-from .errors import ConsistencyError, CubekitError, SizeCapError
+from .errors import ConsistencyError, CubekitError, SizeCapError, ValidationError
 from .formats import parse_graph, parse_polygons, parse_subsets, serialize_graph
 from .median import L1, LINF, MedianGraph
 from .polygonal import (
@@ -187,6 +192,23 @@ def _metric(name: str) -> str:
     return LINF if name == "linf" else L1
 
 
+def _lambda(text: str) -> Fraction:
+    """``--lambda`` as an exact rational; a value that does not parse is bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"--lambda {text} has a zero denominator") from None
+    except ValueError as e:
+        raise ValidationError(str(e)) from None
+
+
+def _cap(cap: int) -> int:
+    """A search cap below 1 would only ever report an empty lower bound."""
+    if cap < 1:
+        raise ValidationError(f"--cap must be at least 1 (got {cap})")
+    return cap
+
+
 # -- command handlers: each returns (inputs, parameters, results, verdict) ---------
 
 
@@ -254,8 +276,9 @@ def _cmd_median_dist(args):
 
 
 def _cmd_diag_grid(args):
+    cap = _cap(args.cap)
     g, digest = _load_median(args.file)
-    rep = max_grid(g, cap=args.cap)
+    rep = max_grid(g, cap=cap)
     witness = None
     if rep.witnesses:
         best = rep.witnesses[-1]
@@ -267,8 +290,9 @@ def _cmd_diag_grid(args):
 
 
 def _cmd_diag_rect(args):
+    cap = _cap(args.cap)
     g, digest = _load_median(args.file)
-    rep = max_thick_rectangle(g, cap=args.cap)
+    rep = max_thick_rectangle(g, cap=cap)
     witness = None
     if rep.best is not None:
         witness = {"a": rep.best.a, "b": rep.best.b, "embedding": rep.best.embedding}
@@ -408,7 +432,7 @@ def _cmd_sc_check(args):
     if args.values:
         values = tuple(int(t) for t in args.values.split(","))
     pres = presentation_from_text(text, values=values)
-    lam = Fraction(args.lam)
+    lam = _lambda(args.lam)
     verdict = check_small_cancellation(pres, lam, t=args.t)
     cp = verdict.cprime
     tv = verdict.t
@@ -466,7 +490,7 @@ def _cmd_poly_validate(args):
 def _cmd_poly_sc(args):
     x, digest = _load_complex(args.file)
     rep = polygonal_sc_check(
-        x, Fraction(args.lam), n_cover=args.cover, n_link=args.link
+        x, _lambda(args.lam), n_cover=args.cover, n_link=args.link
     )
     results = [
         _result("piece_count", len(rep.pieces)),
@@ -609,6 +633,7 @@ def _cmd_poly_project(args):
     return [digest], params, results, verdict
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="cubekit",
@@ -753,6 +778,14 @@ def _print_version() -> int:
 
 def _fail(e: Exception) -> int:
     """Report an error; its exit code tells a bug and a cap hit from bad input."""
+    if not isinstance(e, (CubekitError, OSError, ValueError)):
+        # no layer raises any other exception on purpose; imported here so
+        # that importing the CLI stays as cheap as before
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     print(f"error: {e}", file=sys.stderr)
     if isinstance(e, ConsistencyError):
         return 3
@@ -768,16 +801,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = f"{args.module} {args.op}"
-    # plain-text dual export doubles as the graph-format round-trip surface
-    if command == "poly dual" and not args.json:
-        try:
-            return _render_dual_text(args)
-        except (CubekitError, OSError) as e:
-            return _fail(e)
     start = time.perf_counter()
     try:
+        # plain-text dual export doubles as the graph-format round-trip surface
+        if command == "poly dual" and not args.json:
+            return _render_dual_text(args)
         inputs, params, results, verdict = args.handler(args)
-    except (CubekitError, OSError, ValueError) as e:
+    except Exception as e:
         return _fail(e)
     report = AnalysisReport(
         command=command,

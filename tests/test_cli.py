@@ -1,5 +1,6 @@
 """End-to-end tests for the cubekit command line tool."""
 
+import argparse
 import functools
 import json
 import os
@@ -172,6 +173,57 @@ class TestExitCodes:
         assert cli.main(["diag", "delta", files("g", SQUARE)]) == 3
         assert "cross-check failed" in capsys.readouterr().err
 
+    def test_stray_exception_is_three(self, files, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IndexError("index 7 out of range")
+
+        monkeypatch.setattr(cli, "delta", broken)
+        assert cli.main(["diag", "delta", files("g", SQUARE)]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: IndexError: index 7 out of range" in err
+        assert "Traceback" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["median", "check"], ["poly", "dual"], ["--json", "poly", "dual"]]
+    )
+    def test_undecodable_file_is_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "bin"
+        path.write_bytes(b"\xff\xfe\x00vertex a\n")
+        assert cli.main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec")
+
+    @pytest.mark.parametrize("op", ["grid", "rect"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_search_cap_below_one_is_two(self, op, cap, files, capsys):
+        assert cli.main(["diag", op, files("g", SQUARE), "--cap", cap]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --cap must be at least 1 (got {cap})\n"
+
+    @pytest.mark.parametrize("op", ["grid", "rect"])
+    def test_search_cap_of_one_is_accepted(self, op, files, capsys):
+        code, rep = run_json(capsys, ["diag", op, files("g", SQUARE), "--cap", "1"])
+        assert code == 0
+        assert rep["parameters"]["cap"] == 1
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            ("1/0", "error: --lambda 1/0 has a zero denominator"),
+            ("abc", "error: Invalid literal for Fraction: 'abc'"),
+            ("5/4", "error: lambda must"),
+        ],
+    )
+    @pytest.mark.parametrize("cmd", ["sc", "poly"])
+    def test_bad_lambda_is_two(self, cmd, lam, message, files, capsys):
+        if cmd == "sc":
+            argv = ["sc", "check", files("p", PENTAGON_POWER)]
+        else:
+            argv = ["poly", "sc", files("h", HEX_POLY)]
+        assert cli.main(argv + ["--lambda", lam]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("op", ["delta", "bigon"])
     @pytest.mark.parametrize("metric", ["l1", "linf"])
     def test_metric_size_cap_is_four_before_any_table(
@@ -213,6 +265,81 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestCachedParser:
+    """``main`` builds the argparse tree once per process and reuses it."""
+
+    def test_parsers_are_built_on_the_first_call_only(
+        self, files, capsys, monkeypatch
+    ):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        path = files("g", SQUARE)
+        assert cli.main(["median", "check", path]) == 0
+        first = len(built)
+        assert first > 1
+        assert cli.main(["diag", "grid", path]) == 0
+        assert cli.main(["racg", "squares", path]) == 0
+        assert len(built) == first
+
+    def test_no_state_leaks_between_calls(self, files, capsys):
+        g = files("g", SQUARE)
+        _, rep = run_json(capsys, ["diag", "grid", g, "--cap", "5"])
+        assert rep["parameters"]["cap"] == 5
+        _, rep = run_json(capsys, ["diag", "grid", g])
+        assert rep["parameters"]["cap"] == diagnostics.GRID_NODE_CAP
+
+        s = files("s", SUBS)
+        _, rep = run_json(capsys, ["coneoff", "build", g, s, "--pair", "a", "c"])
+        assert "pair_distance" in {r["quantity"] for r in rep["results"]}
+        _, rep = run_json(capsys, ["coneoff", "build", g, s])
+        assert "pair_distance" not in {r["quantity"] for r in rep["results"]}
+        assert rep["parameters"] == {"kind": "clique"}
+
+        _, rep = run_json(capsys, ["racg", "nf", g, "a", "b"])
+        assert rep["parameters"]["word"] == ["a", "b"]
+        _, rep = run_json(capsys, ["racg", "nf", g])
+        assert rep["parameters"]["word"] == []
+
+    def test_library_patched_after_caching_is_honoured(
+        self, files, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise ConsistencyError("cross-check failed")
+
+        path = files("g", SQUARE)
+        assert cli.main(["diag", "delta", path]) == 0
+        monkeypatch.setattr(cli, "delta", broken)
+        assert cli.main(["diag", "delta", path]) == 3
+        assert "cross-check failed" in capsys.readouterr().err
+
+    def test_import_builds_no_parser(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import cubekit.cli\n"
+            "print(len(built), cubekit.cli._build_parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 0"
 
 
 class TestReportShape:
