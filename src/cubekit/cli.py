@@ -391,7 +391,7 @@ def _cmd_racg_squares(args):
     return [digest], {}, [
         _result("square_count", len(squares)),
         _result("squares", squares),
-        _result("square_vertices", dg.square_vertices()),
+        _result("square_vertices", frozenset(v for quad in squares for v in quad)),
     ], None
 
 
@@ -615,22 +615,18 @@ def _cmd_poly_project(args):
             out["note"] = pt.note
         return out
 
-    pu = dual_projection(x, dc, args.vertex, rep)
-    results = [_result("projection", point_dict(pu))]
-    verdict = None
-    params = {"vertex": args.vertex}
-    if args.other:
-        tr = separation_transfer(x, dc, args.vertex, args.other, rep)
-        params["other"] = args.other
-        results.append(_result("other_projection", point_dict(tr.point_w)))
-        results.append(
-            _result("dual_disjoint", tr.dual_disjoint, witness=tr.dual_family)
-        )
-        results.append(
-            _result("wall_disjoint", tr.wall_disjoint, witness=tr.wall_family)
-        )
-        verdict = tr.holds
-    return [digest], params, results, verdict
+    if not args.other:
+        pu = dual_projection(x, dc, args.vertex, rep)
+        return [digest], {"vertex": args.vertex}, [
+            _result("projection", point_dict(pu))
+        ], None
+    tr = separation_transfer(x, dc, args.vertex, args.other, rep)
+    return [digest], {"vertex": args.vertex, "other": args.other}, [
+        _result("projection", point_dict(tr.point_u)),
+        _result("other_projection", point_dict(tr.point_w)),
+        _result("dual_disjoint", tr.dual_disjoint, witness=tr.dual_family),
+        _result("wall_disjoint", tr.wall_disjoint, witness=tr.wall_family),
+    ], tr.holds
 
 
 @functools.cache

@@ -4,9 +4,10 @@ Vertices are involutive generators and edges are commutation relations.
 This module solves the word problem by commutation rewriting, builds Cayley
 balls as graphs, computes their walls and crossings exactly from the Tits
 representation, classifies contracting generators, and iterates the
-canonical join decomposition that decides relative hyperbolicity.  The
-maximal large joins come from the closed join sides, the intersections of
-generator links, built one link at a time.
+canonical join decomposition that decides relative hyperbolicity.  The join
+layer works on int bitmasks of generator ranks, one link mask per generator.
+The maximal large joins come from the closed join sides, the intersections
+of generator links, built one link at a time.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ SQUARES = "squares"
 LARGE_JOINS = "large_joins"
 
 BALL_VERTEX_CAP = 20000
-# closed join sides (intersections of generator links) in maximal_large_joins:
-# n generators have at most 2^n, so every graph on 14 fits, and K_{2x14}
-# (28 generators, exactly this many) takes 0.12 s (timings in CHANGES.md)
+# closed join sides (intersections of generator links) in maximal_large_joins,
+# which only the `large_joins` seed and contracting_generators call: n
+# generators have at most 2^n, so every graph on 14 fits, as does K_{2x14}
 JOIN_ENUM_CAP = 1 << 14
 # Tits matrices and roots whose entries pass this are refused: it keeps
 # R @ B @ R.T (at most k^2 * bound^2) and one more layer inside int64 for
@@ -46,7 +47,6 @@ class DefiningGraph:
             raise GraphInputError("a defining graph needs at least one generator")
         self.rank = {v: i for i, v in enumerate(self.vertices)}
         self.adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        seen = set()
         for a, b in edges:
             a, b = str(a), str(b)
             for x in (a, b):
@@ -56,12 +56,11 @@ class DefiningGraph:
                     )
             if a == b:
                 raise GraphInputError(f"loop at generator {a!r}")
-            key = frozenset((a, b))
-            if key in seen:
+            if b in self.adj[a]:
                 raise GraphInputError(f"duplicate edge {a!r} -- {b!r}")
-            seen.add(key)
             self.adj[a].add(b)
             self.adj[b].add(a)
+        self._links = [self._mask(self.adj[v]) for v in self.vertices]  # link masks
 
     @classmethod
     def from_graph(cls, g: MedianGraph) -> "DefiningGraph":
@@ -76,6 +75,12 @@ class DefiningGraph:
             raise GraphInputError(f"unknown generator {v!r}")
         return v
 
+    def _mask(self, vs) -> int:
+        return sum(1 << self.rank[self._check(v)] for v in set(vs))
+
+    def _names(self, m: int) -> frozenset[str]:
+        return frozenset(self.vertices[i] for i in _bits(m))
+
     def link(self, v: str) -> frozenset[str]:
         return frozenset(self.adj[self._check(v)])
 
@@ -84,21 +89,35 @@ class DefiningGraph:
 
     def is_complete_set(self, vs) -> bool:
         """Empty sets and singletons count as complete."""
-        vs = {self._check(v) for v in vs}
-        return all(b in self.adj[a] for a, b in itertools.combinations(vs, 2))
+        return _complete(self._links, self._mask(vs))
 
     def induced_squares(self) -> list[tuple[str, ...]]:
-        out = []
-        for quad in itertools.combinations(self.vertices, 4):
-            if all(
-                sum(1 for u in quad if u != v and u in self.adj[v]) == 2
-                for v in quad
-            ):
-                out.append(quad)
-        return out
+        """Induced 4-cycles in rank order.  The square a-b-c-d with lowest
+        generator a is found once, from its diagonal a, c: b < d are
+        non-adjacent common neighbours of a and c above a."""
+        links, full, out = self._links, (1 << len(self.vertices)) - 1, []
+        for a, link in enumerate(links):
+            for c in _bits(full & ~link & -(2 << a)):
+                common = link & links[c] & -(2 << a)
+                for b in _bits(common):
+                    for d in _bits(common & ~links[b] & -(2 << b)):
+                        out.append(tuple(sorted((a, b, c, d))))
+        return [tuple(self.vertices[i] for i in q) for q in sorted(out)]
 
     def square_vertices(self) -> frozenset[str]:
         return frozenset(v for quad in self.induced_squares() for v in quad)
+
+
+def _bits(s: int):
+    """Indices of the set bits of s, lowest first."""
+    while s:
+        yield (s & -s).bit_length() - 1
+        s &= s - 1
+
+
+def _complete(links: list[int], s: int) -> bool:
+    """Whether mask s spans a complete subgraph; true for the empty set."""
+    return all(s & ~links[i] == 1 << i for i in _bits(s))
 
 
 # -- word problem ----------------------------------------------------------------
@@ -128,15 +147,11 @@ def _reduce(dg: DefiningGraph, letters) -> list[str]:
     for v in letters:
         if v not in dg.rank:
             raise GraphInputError(f"unknown generator {v!r}")
-        hit = -1
-        for i in range(len(out) - 1, -1, -1):
-            if out[i] == v:
-                hit = i
-                break
-            if out[i] not in adj[v]:
-                break
-        if hit >= 0:
-            del out[hit]
+        i = len(out) - 1
+        while i >= 0 and out[i] != v and out[i] in adj[v]:
+            i -= 1
+        if i >= 0 and out[i] == v:
+            del out[i]
         else:
             out.append(v)
     return out
@@ -210,9 +225,9 @@ def ball(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> RacgBall:
     if r < 0:
         raise GraphInputError("radius must be >= 0")
     sep = _separator_for(dg)
-    ident = next(
-        (c for c in ("e", "1", "id", "eps") if c not in dg.rank), "<identity>"
-    )
+    # the fallback is longer than every generator and has no separator
+    free = (c for c in ("e", "1", "id", "eps", "<identity>") if c not in dg.rank)
+    ident = next(free, "e" * (1 + max(map(len, dg.vertices))))
 
     def fid(t):
         return sep.join(t) if t else ident
@@ -367,48 +382,36 @@ def maximal_large_joins(dg: DefiningGraph) -> tuple[frozenset[str], ...]:
     a Galois connection; Ganter & Wille, Formal Concept Analysis, 1999).
     They are built one link at a time, at most JOIN_ENUM_CAP of them.
     """
-    verts = dg.vertices
-    n = len(verts)
-    links = [sum(1 << dg.rank[u] for u in dg.adj[v]) for v in verts]
+    links, n = dg._links, len(dg.vertices)
     sides = {(1 << n) - 1}
-    for v, link in zip(verts, links):
+    for v, link in zip(dg.vertices, links):
         sides |= {s & link for s in sides}
         if len(sides) > JOIN_ENUM_CAP:
             raise SizeCapError(
                 f"join enumeration passes JOIN_ENUM_CAP = {JOIN_ENUM_CAP} closed "
                 f"sides (intersections of generator links) at generator {v!r}"
             )
-
-    def members(side):
-        return [i for i in range(n) if side >> i & 1]
-
-    def complete(side):  # true for the empty side too
-        return all(side & ~links[i] == 1 << i for i in members(side))
-
     joins = set()
     for a in sides:
         b = sum(1 << i for i in range(n) if a & links[i] == a)
-        if not complete(a) and not complete(b):
+        if not _complete(links, a) and not _complete(links, b):
             joins.add(a | b)
     maximal = []
     for s in sorted(joins, key=int.bit_count, reverse=True):
         if all(s & t != s for t in maximal):
             maximal.append(s)
-    return tuple(
-        sorted((frozenset(verts[i] for i in members(s)) for s in maximal), key=sorted)
-    )
+    return tuple(sorted(map(dg._names, maximal), key=sorted))
+
+
+def _closure(links: list[int], s: int) -> int:
+    """Mask s with every generator whose link meets s non-completely."""
+    return s | sum(1 << v for v, ln in enumerate(links) if not _complete(links, ln & s))
 
 
 def cp_closure(dg: DefiningGraph, subset) -> frozenset[str]:
     """One application of the closure rule: add every vertex whose link meets
     the set in a non-complete subgraph."""
-    s = frozenset(dg._check(v) for v in subset)
-    extra = {
-        v
-        for v in dg.vertices
-        if v not in s and not dg.is_complete_set(dg.adj[v] & s)
-    }
-    return s | extra
+    return dg._names(_closure(dg._links, dg._mask(subset)))
 
 
 @dataclass(frozen=True)
@@ -421,41 +424,34 @@ class DecompositionVerdict:
 
 
 def validate_decomposition(dg: DefiningGraph, members) -> DecompositionVerdict:
-    """Check the three join-decomposition conditions independently."""
-    mem = [frozenset(dg._check(v) for v in m) for m in members]
+    """Check the three join-decomposition conditions independently.
+
+    Cover (every large join lies in a member) is checked on the induced
+    squares, which are large joins; for closed members that is the same.
+    Take a large join A * B, non-adjacent a1, a2 in A and b1, b2 in B, and a
+    member m holding the square a1 b1 a2 b2.  Every a in A has b1, b2 in its
+    link and every b in B has a1, a2, so closure puts A * B in m.  So `ok`
+    is as if checked on all large joins; `join_cover_ok` may differ only
+    where `closure_ok` fails.
+    """
+    verts, links = dg.vertices, dg._links
+    mem = [dg._mask(m) for m in members]
+    miss = [q for q in map(dg._mask, dg.induced_squares()) if all(q & ~m for m in mem)]
+    meet = [
+        (a, b) for a, b in itertools.combinations(mem, 2) if not _complete(links, a & b)
+    ]
+    out = [(m, x) for m in mem if (x := _closure(links, m) & ~m)]
     witness = None
-    cover = True
-    for J in maximal_large_joins(dg):
-        if not any(J <= m for m in mem):
-            cover = False
-            witness = f"large join {sorted(J)} lies in no member"
-            break
-    inter = True
-    for a, b in itertools.combinations(mem, 2):
-        if not dg.is_complete_set(a & b):
-            inter = False
-            witness = witness or (
-                f"members {sorted(a)} and {sorted(b)} have a non-complete intersection"
-            )
-            break
-    closure = True
-    for m in mem:
-        for v in dg.vertices:
-            if v not in m and not dg.is_complete_set(dg.adj[v] & m):
-                closure = False
-                witness = witness or (
-                    f"vertex {v!r} has a non-complete link inside {sorted(m)} "
-                    "but is missing from it"
-                )
-                break
-        if not closure:
-            break
+    if miss:
+        witness = f"large join {sorted(dg._names(miss[0]))} (a square) is in no member"
+    elif meet:
+        a, b = (sorted(dg._names(m)) for m in meet[0])
+        witness = f"members {a} and {b} have a non-complete intersection"
+    elif out:
+        v, m = verts[next(_bits(out[0][1]))], sorted(dg._names(out[0][0]))
+        witness = f"vertex {v!r}, missing from {m}, has a non-complete link in it"
     return DecompositionVerdict(
-        ok=cover and inter and closure,
-        join_cover_ok=cover,
-        intersections_ok=inter,
-        closure_ok=closure,
-        witness=witness,
+        not (miss or meet or out), not miss, not meet, not out, witness
     )
 
 
@@ -471,41 +467,43 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
     """Iterate the canonical decomposition to its fixed point.
 
     Each step groups the current members by non-complete intersections and
-    replaces every connected group by the closure of its union.
+    replaces every connected group by the closure of its union.  Two members
+    meet in a non-complete set iff both hold some non-adjacent pair, so a
+    union-find joins each member to the first one that holds the same pair.
     """
+    links = dg._links
     if seed == SQUARES:
-        current = sorted({frozenset(q) for q in dg.induced_squares()}, key=sorted)
+        current = sorted(map(frozenset, dg.induced_squares()), key=sorted)
     elif seed == LARGE_JOINS:
-        current = sorted(set(maximal_large_joins(dg)), key=sorted)
+        current = list(maximal_large_joins(dg))  # sorted by sorted names
     else:
         raise GraphInputError(f"unknown seed {seed!r}")
-    trace = [tuple(current)]
+    trace = [current]
     while True:
-        uf = UnionFind(len(current))
-        for i, j in itertools.combinations(range(len(current)), 2):
-            if not dg.is_complete_set(current[i] & current[j]):
-                uf.union(i, j)
-        groups: dict[int, frozenset[str]] = {}
-        for i, member in enumerate(current):
-            root = uf.find(i)
-            groups[root] = groups.get(root, frozenset()) | member
-        nxt = sorted({cp_closure(dg, group) for group in groups.values()}, key=sorted)
+        masks = list(map(dg._mask, current))
+        uf, owner = UnionFind(len(masks)), {}  # owner: a member holding a non-edge
+        for i, m in enumerate(masks):
+            for u in _bits(m):
+                for v in _bits(m & ~links[u] & -(2 << u)):
+                    uf.union(owner.setdefault((u, v), i), i)
+        groups: dict[int, int] = {}
+        for i, m in enumerate(masks):
+            groups[uf.find(i)] = groups.get(uf.find(i), 0) | m
+        closed = {dg._names(_closure(links, g)) for g in groups.values()}
+        nxt = sorted(closed, key=sorted)
         if nxt == current:
             break
         current = nxt
-        trace.append(tuple(current))
-    if current:
-        verdict = validate_decomposition(dg, current)
-        if not verdict.ok:
-            raise ConsistencyError(
-                f"fixed point is not a join decomposition: {verdict.witness}"
-            )
-    members = tuple(current)
+        trace.append(current)
+    if current and not (verdict := validate_decomposition(dg, current)).ok:
+        raise ConsistencyError(
+            f"fixed point is not a join decomposition: {verdict.witness}"
+        )
     return JoinDecompositionReport(
         seed=seed,
-        trace=tuple(trace),
-        members=members,
-        trivial=members == (frozenset(dg.vertices),),
+        trace=tuple(map(tuple, trace)),
+        members=tuple(current),
+        trivial=current == [frozenset(dg.vertices)],
     )
 
 

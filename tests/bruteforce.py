@@ -15,7 +15,14 @@ import numpy as np
 from cubekit.diagnostics import EXACT, LOWER_BOUND, BigonReport, FlatRectangle
 from cubekit.errors import ConsistencyError, SizeCapError
 from cubekit.median import Cube
-from cubekit.racg import _mul, _reduce, _shortlex, ball
+from cubekit.racg import (
+    DecompositionVerdict,
+    _mul,
+    _reduce,
+    _shortlex,
+    ball,
+    maximal_large_joins,
+)
 
 
 def adj_dict(g) -> dict[str, set[str]]:
@@ -533,6 +540,105 @@ def maximal_large_joins_brute(dg) -> tuple[frozenset[str], ...]:
             key=sorted,
         )
     )
+
+
+def induced_squares_brute(dg) -> list[tuple[str, ...]]:
+    """Induced 4-cycles by testing all C(n, 4) vertex quadruples: each vertex
+    of an induced square has exactly two neighbours among the other three."""
+    out = []
+    for quad in itertools.combinations(dg.vertices, 4):
+        if all(
+            sum(1 for u in quad if u != v and u in dg.adj[v]) == 2
+            for v in quad
+        ):
+            out.append(quad)
+    return out
+
+
+def _complete_brute(adj, vs) -> bool:
+    return all(b in adj[a] for a, b in itertools.combinations(vs, 2))
+
+
+def validate_decomposition_brute(dg, members) -> DecompositionVerdict:
+    """The three join-decomposition conditions, pair by pair and vertex by
+    vertex, with the cover checked on every maximal large join.  The joins
+    come from `maximal_large_joins`, which `maximal_large_joins_brute`
+    checks; the subset scan itself would cost 2^n per call."""
+    adj = dg.adj
+    mem = [frozenset(m) for m in members]
+    witness = None
+    cover = True
+    for J in maximal_large_joins(dg):
+        if not any(J <= m for m in mem):
+            cover = False
+            witness = f"large join {sorted(J)} lies in no member"
+            break
+    inter = True
+    for a, b in itertools.combinations(mem, 2):
+        if not _complete_brute(adj, a & b):
+            inter = False
+            witness = witness or (
+                f"members {sorted(a)} and {sorted(b)} have a non-complete intersection"
+            )
+            break
+    closure = True
+    for m in mem:
+        for v in dg.vertices:
+            if v not in m and not _complete_brute(adj, adj[v] & m):
+                closure = False
+                witness = witness or (
+                    f"vertex {v!r} has a non-complete link inside {sorted(m)} "
+                    "but is missing from it"
+                )
+                break
+        if not closure:
+            break
+    return DecompositionVerdict(
+        ok=cover and inter and closure,
+        join_cover_ok=cover,
+        intersections_ok=inter,
+        closure_ok=closure,
+        witness=witness,
+    )
+
+
+def cp_closure_brute(dg, subset) -> frozenset[str]:
+    s = frozenset(subset)
+    adj = dg.adj
+    return s | {v for v in dg.vertices if not _complete_brute(adj, adj[v] & s)}
+
+
+def j_trace_brute(dg, seed_members) -> list[list[frozenset[str]]]:
+    """The join-decomposition steps from a seed: members with a non-complete
+    intersection, tested pair by pair, are linked, and each connected group
+    is replaced by the closure of its union."""
+    current = sorted(set(map(frozenset, seed_members)), key=sorted)
+    trace = [current]
+    while True:
+        k = len(current)
+        linked = [
+            [j for j in range(k) if not _complete_brute(dg.adj, a & current[j])]
+            for a in current
+        ]
+        seen, nxt = set(), set()
+        for i in range(k):
+            if i in seen:
+                continue
+            stack, union = [i], frozenset()
+            seen.add(i)
+            while stack:
+                x = stack.pop()
+                union |= current[x]
+                for y in linked[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            nxt.add(cp_closure_brute(dg, union))
+        nxt = sorted(nxt, key=sorted)
+        if nxt == current:
+            return trace
+        current = nxt
+        trace.append(current)
 
 
 def count_cycles_through_edge(adj: dict[str, set[str]], edge, length: int, cap: int) -> int:

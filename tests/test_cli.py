@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cubekit import cli, diagnostics, median
+from cubekit import cli, diagnostics, median, polygonal
 from cubekit.errors import ConsistencyError
 from cubekit.formats import parse_graph
 from cubekit.median import MedianGraph
@@ -519,6 +519,44 @@ class TestRacgCommands:
         assert results["peripherals"]["value"] == []
         assert "trace" in results
 
+    def test_squares_are_searched_once(self, files, capsys, monkeypatch):
+        calls = []
+        real = cli.DefiningGraph.induced_squares
+
+        def spy(dg):
+            calls.append(dg)
+            return real(dg)
+
+        monkeypatch.setattr(cli.DefiningGraph, "induced_squares", spy)
+        _, rep = run_json(capsys, ["racg", "squares", files("g", SQUARE)])
+        results = {r["quantity"]: r for r in rep["results"]}
+        assert results["square_vertices"]["value"] == ["a", "b", "c", "d"]
+        assert len(calls) == 1
+
+    def test_k2x15_is_decided_from_squares(self, files, capsys):
+        # K_{2x15} has 2^15 closed join sides, past JOIN_ENUM_CAP, but the
+        # squares seed and its cover check never enumerate joins
+        vs = [f"{c}{i}" for i in range(15) for c in "xy"]
+        text = "".join(f"vertex {v}\n" for v in vs)
+        text += "".join(
+            f"edge {a} {b}\n" for i, a in enumerate(vs) for b in vs[i + 1 :]
+            if a[1:] != b[1:]
+        )
+        g = files("g", text)
+        code, rep = run_json(capsys, ["racg", "relhyp", g])
+        assert code == 1
+        results = {r["quantity"]: r for r in rep["results"]}
+        assert results["peripherals"]["value"] == [sorted(vs)]
+        # jdecomp gives no verdict, so it exits 0 with the trivial fixed point
+        code, rep = run_json(capsys, ["racg", "jdecomp", g])
+        assert code == 0
+        results = {r["quantity"]: r for r in rep["results"]}
+        assert results["members"]["value"] == [sorted(vs)]
+        assert results["trivial"]["value"] is True
+        for op in ("relhyp", "jdecomp"):
+            assert cli.main(["racg", op, g, "--seed", "large_joins"]) == 4
+            assert "JOIN_ENUM_CAP" in capsys.readouterr().err
+
     def test_sixteen_generators_past_the_old_subset_scan(self, files, capsys):
         # C4 with a 12-vertex path hanging off corner a: 16 generators
         path = [f"p{i}" for i in range(12)]
@@ -620,6 +658,24 @@ class TestPolyCommands:
         results = {r["quantity"]: r for r in rep["results"]}
         assert results["dual_disjoint"]["value"] == 1
         assert rep["verdict"] is True
+
+    def test_transfer_projects_each_vertex_once(self, files, capsys, monkeypatch):
+        calls = []
+
+        def spy(x, dc, v, report=None):
+            calls.append(v)
+            return real(x, dc, v, report)
+
+        real = polygonal.dual_projection
+        monkeypatch.setattr(polygonal, "dual_projection", spy)
+        monkeypatch.setattr(cli, "dual_projection", spy)
+        path = files("h", HEX_POLY)
+        _, rep = run_json(capsys, ["poly", "project", path, "o000", "o111"])
+        assert calls == ["o000", "o111"]
+        assert rep["results"][0]["value"]["kind"] == "polygon-center"
+        calls.clear()
+        run_json(capsys, ["poly", "project", path, "o000"])
+        assert calls == ["o000"]
 
     def test_unknown_dual_vertex_is_input_error(self, files, capsys):
         assert cli.main(["poly", "project", files("h", HEX_POLY), "zzz"]) == 2

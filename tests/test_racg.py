@@ -206,6 +206,18 @@ class TestBall:
         with pytest.raises(SizeCapError):
             ball(dgn(*C4), 2, cap=5)
 
+    def test_identity_name_avoids_every_generator(self):
+        # every named choice is taken, "<identity>" too, so the fallback must
+        # not be a generator and must hold no separator
+        dg = dgn(["e", "1", "id", "eps", "<identity>"], [])
+        b = ball(dg, 1)
+        assert b.identity not in dg.rank and b.separator not in b.identity
+        assert b.graph.n == 6 and b.forms[b.identity] == ()
+        # graphs that leave a named choice free keep their identity name
+        assert ball(dgn(*C4), 1).identity == "e"
+        assert ball(dgn(["e", "1"], []), 1).identity == "id"
+        assert ball(dgn(["e", "1", "id", "eps"], []), 1).identity == "<identity>"
+
     def test_edges_are_generator_multiplications(self):
         from cubekit.racg import _mul
 
@@ -415,6 +427,54 @@ class TestJoins:
             maximal_large_joins(dgn(vs, es))
 
 
+class TestJoinOracles:
+    def test_squares_and_verdicts_match_brute_force(self):
+        # squares against the C(n, 4) scan, in order; traces against the
+        # pairwise merge; verdicts against the check on all maximal large
+        # joins, on random, closed and fixed-point member lists
+        rng = random.Random(41)
+        closed_cover_fails = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            p = rng.random()
+            vs = [f"g{i}" for i in range(n)]
+            es = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
+            dg = dgn(vs, es)
+            squares = bf.induced_squares_brute(dg)
+            assert dg.induced_squares() == squares
+            joins = maximal_large_joins(dg)
+            for seed, start in ((SQUARES, squares), (LARGE_JOINS, joins)):
+                trace = j_sequence(dg, seed).trace
+                assert list(map(list, trace)) == bf.j_trace_brute(dg, start)
+
+            def closed(s):
+                while (t := cp_closure(dg, s)) != s:
+                    s = t
+                return s
+
+            lists = [j_infinity(dg), [frozenset(vs)]]
+            for _ in range(3):
+                subsets = [
+                    frozenset(rng.sample(vs, rng.randint(0, n)))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                lists += [subsets, [closed(s) for s in subsets]]
+                assert [cp_closure(dg, s) for s in subsets] == [
+                    bf.cp_closure_brute(dg, s) for s in subsets
+                ]
+            for members in lists:
+                got = validate_decomposition(dg, members)
+                want = bf.validate_decomposition_brute(dg, members)
+                assert got.ok == want.ok
+                assert got.intersections_ok == want.intersections_ok
+                assert got.closure_ok == want.closure_ok
+                assert (got.witness is None) == want.ok
+                if want.closure_ok:
+                    assert got.join_cover_ok == want.join_cover_ok
+                    closed_cover_fails += not want.join_cover_ok
+        assert closed_cover_fails > 50
+
+
 class TestClosure:
     def test_square_with_pendant_is_closed(self):
         dg = dgn(*C4_PENDANT)
@@ -478,6 +538,31 @@ class TestJSequence:
             assert set(j_sequence(dg, SQUARES).members) == set(
                 j_sequence(dg, LARGE_JOINS).members
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [EDGE, ISO2, PATH3, PATH4, C4, C5, C6, C4_PENDANT, FREE3, TWO_SQUARES, K24],
+    )
+    def test_squares_seed_never_enumerates_joins(self, spec, monkeypatch):
+        dg = dgn(*spec)
+        want = j_sequence(dg, LARGE_JOINS).members
+
+        def refuse(dg):
+            raise AssertionError("maximal_large_joins called")
+
+        monkeypatch.setattr(racg, "maximal_large_joins", refuse)
+        assert set(j_sequence(dg, SQUARES).members) == set(want)
+
+    def test_forty_dense_generators_are_decided(self):
+        # past JOIN_ENUM_CAP: the fixed point is still found and validated
+        rng = random.Random(40)
+        vs = [f"g{i}" for i in range(40)]
+        dg = dgn(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < 0.5])
+        with pytest.raises(SizeCapError, match="JOIN_ENUM_CAP"):
+            maximal_large_joins(dg)
+        rep = j_sequence(dg, SQUARES)
+        assert rep.members and validate_decomposition(dg, rep.members).ok
+        assert len(rep.trace[0]) == len(dg.induced_squares()) > 1000
 
     def test_fixed_points_validate(self):
         rng = random.Random(23)
