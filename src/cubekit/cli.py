@@ -36,7 +36,6 @@ from .diagnostics import (
     RECT_STATE_CAP,
     bigon_thinness,
     cone_off,
-    contracting,
     cycle_probe,
     delta,
     fineness_certificate,
@@ -51,7 +50,6 @@ from .polygonal import (
     classify_maximal_cubes,
     dual_cube_complex,
     dual_projection,
-    pieces,
     polygonal_sc_check,
     separation_transfer,
     walls,

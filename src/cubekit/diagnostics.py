@@ -5,6 +5,12 @@ thinness, cone-off constructions, contracting hyperplanes and fineness
 certificates.  Everything here is exact unless a search cap is hit, in
 which case the result is flagged as a lower bound.
 
+One chain search grows chains of hyperplanes for both grid questions.
+`grid_search` reads Pareto sizes off it; `walls_in_grids` marks, in one
+pass, every hyperplane of an (n,n)-grid, using that a hyperplane lies in
+one iff it lies in an n-chain crossed by some n-chain, and `contracting`
+decides every hyperplane from that one pass.
+
 The four-point constant scans only far-apart pairs (Cohen, Coudert &
 Lancin, ACM JEA 20, 2015), by decreasing distance, and stops once the
 distance is no more than the best defect or 1.  Bigon thinness visits
@@ -12,12 +18,13 @@ pairs by decreasing distance and stops once floor(d / 2) is no more than
 the best gap; trees return 0 without a scan.  Both bigon rules need the
 measure to be at most the graph distance; other measures get the full
 scan.  Any bigon scan stops once the best gap reaches the largest measure.
+Both are exact only: past `DELTA_SIZE_LIMIT` vertices they refuse, and δ
+has no sampled mode.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,66 +97,76 @@ def verify_grid(ws: WallSystem, grid: Grid) -> None:
                 )
 
 
-def grid_search(ws: WallSystem, cap: int = GRID_NODE_CAP) -> GridReport:
-    """Pareto-maximal grid sizes with witnesses, by chain DFS.
+def _chain_search(ws: WallSystem, visit, cap: int, need: int = 1) -> tuple[int, bool]:
+    """Depth-first search over the chains of ws: (nodes, exact).
 
-    Chains are enumerated as nested subsets of separation masks; for each
-    chain the best crossing chain is found among the walls transverse to all
-    of its members.
+    Chains are nested subsets of separation masks, grown from the empty
+    chain by walls of increasing index, so each chain is met once.  A chain
+    whose crossing walls (those transverse to all its members) hold no
+    chain of `need` walls is cut, since its extensions are crossed by fewer.
+    At every other nonempty chain ``visit(chain, rep, cross, ext)`` gets the
+    chain, a vertex pair separated by all of it, the longest chain crossing
+    it and the mask of walls that may extend it, and returns whether to
+    descend.  The search stops at `cap` nodes and is then not exact.
     """
-    table: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
-    state = {"nodes": 0, "exact": True}
-    full = (1 << ws.h) - 1
-
-    def maxq_from(p: int) -> int:
-        return max((val[0] for pp, val in table.items() if pp >= p), default=0)
+    nodes = 0
 
     def dfs(chain, chain_mask, pairs, tmask, dmask, last):
-        if state["nodes"] >= cap:
-            state["exact"] = False
-            return
-        state["nodes"] += 1
-        qlen, qmem, _ = ws.longest_chain(tmask)
-        p = len(chain)
-        if p and qlen:
-            cur = table.get(p)
-            if cur is None or qlen > cur[0]:
-                ordered = ws.order_chain(chain, pairs[0][1])
-                table[p] = (qlen, ordered, qmem)
-        if p and not qlen:
-            # no wall crosses the whole chain; extensions cannot change that
-            return
+        nonlocal nodes
+        if nodes >= cap:
+            return False
+        nodes += 1
+        if chain:
+            qlen, cross, _ = ws.longest_chain(tmask)
+            if qlen < need:
+                return True
         ext = 0
         for m, _ in pairs:
             ext |= m
-        ext &= dmask & ~chain_mask
-        if last >= 0:
-            ext = (ext >> (last + 1)) << (last + 1)
-        maxext = ext.bit_count()
-        if maxext == 0:
-            return
-        if p and qlen and all(
-            maxq_from(p + k) >= qlen for k in range(1, maxext + 1)
-        ):
-            return
+        ext &= dmask & ~chain_mask & -(1 << (last + 1))
+        if chain and not visit(chain, pairs[0][1], cross, ext):
+            return True
         rest = ext
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
             rest ^= low
             sub_pairs = [(m, r) for m, r in pairs if (m >> j) & 1]
-            dfs(
+            if not dfs(
                 chain + (j,),
                 chain_mask | low,
                 sub_pairs,
                 tmask & ws._trans_int[j],
                 dmask & ws._disjoint_int[j],
                 j,
-            )
+            ):
+                return False
+        return True
 
-    if ws.h:
-        dfs((), 0, ws.pairs, full, full, -1)
+    full = (1 << ws.h) - 1
+    exact = dfs((), 0, ws.pairs, full, full, -1) if ws.pairs else True
+    return nodes, exact
 
+
+def grid_search(ws: WallSystem, cap: int = GRID_NODE_CAP) -> GridReport:
+    """Pareto-maximal grid sizes with witnesses, by chain search.
+
+    For each chain the best crossing chain is found among the walls
+    transverse to all of its members.
+    """
+    table: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+
+    def maxq_from(p: int) -> int:
+        return max((val[0] for pp, val in table.items() if pp >= p), default=0)
+
+    def visit(chain, rep, cross, ext):
+        p, qlen = len(chain), len(cross)
+        cur = table.get(p)
+        if cur is None or qlen > cur[0]:
+            table[p] = (qlen, ws.order_chain(chain, rep), cross)
+        return not all(maxq_from(p + k) >= qlen for k in range(1, ext.bit_count() + 1))
+
+    nodes, exact = _chain_search(ws, visit, cap)
     sym = []
     for p, (q, chain, cross) in table.items():
         sym.append((p, q, chain, cross))
@@ -176,8 +193,8 @@ def grid_search(ws: WallSystem, cap: int = GRID_NODE_CAP) -> GridReport:
         pareto=tuple(keys),
         witnesses=tuple(witnesses),
         thinness=thinness,
-        method=EXACT if state["exact"] else LOWER_BOUND,
-        nodes=state["nodes"],
+        method=EXACT if exact else LOWER_BOUND,
+        nodes=nodes,
     )
 
 
@@ -185,62 +202,38 @@ def max_grid(g: MedianGraph, cap: int = GRID_NODE_CAP) -> GridReport:
     return grid_search(g.wall_system, cap)
 
 
-def has_grid_through(
-    ws: WallSystem, wall: int, n: int, cap: int = GRID_NODE_CAP
-) -> tuple[bool, bool]:
-    """Whether some (n,n)-grid has `wall` in one of its chains: (found, exact)."""
+def walls_in_grids(ws: WallSystem, n: int) -> tuple[frozenset[int], bool]:
+    """The walls that lie in some (n,n)-grid, and whether the search was exact.
+
+    Grids are symmetric and any n walls of a chain are a chain, so a wall
+    lies in an (n,n)-grid iff it lies in an n-chain crossed by some n-chain.
+    One chain search over chains of at most n walls finds such chains and
+    marks each with its longest crossing chain, once `verify_grid` accepts
+    them.  A branch is cut when the walls crossing its chain hold no
+    n-chain, when it cannot reach n walls, or when its chain and extension
+    mask hold no unmarked wall.  Past `GRID_NODE_CAP` nodes the walls left
+    unmarked are only not known to lie in a grid.  A (1,1)-grid is a pair of
+    crossing walls, so n = 1 needs no search.
+    """
     if n < 1:
         raise GraphInputError("grid size must be >= 1")
     if n == 1:
-        return bool(ws.transverse[wall].any()), True
-    pairs0 = [(m, r) for m, r in ws.pairs if (m >> wall) & 1]
-    state = {"nodes": 0, "exact": True, "found": False}
+        return frozenset(np.flatnonzero(ws.transverse.any(axis=1)).tolist()), True
+    marked = 0
 
-    def dfs(chain_mask, p, pairs, tmask, dmask, last):
-        if state["found"]:
-            return
-        if state["nodes"] >= cap:
-            state["exact"] = False
-            return
-        state["nodes"] += 1
-        if ws.longest_chain(tmask)[0] < n:
-            return
-        if p >= n:
-            state["found"] = True
-            return
-        ext = 0
-        for m, _ in pairs:
-            ext |= m
-        ext &= dmask & ~chain_mask & ~(1 << wall)
-        if last >= 0:
-            ext = (ext >> (last + 1)) << (last + 1)
-        if p + ext.bit_count() < n:
-            return
-        rest = ext
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            sub_pairs = [(m, r) for m, r in pairs if (m >> j) & 1]
-            dfs(
-                chain_mask | low,
-                p + 1,
-                sub_pairs,
-                tmask & ws._trans_int[j],
-                dmask & ws._disjoint_int[j],
-                j,
-            )
+    def visit(chain, rep, cross, ext):
+        nonlocal marked
+        if len(chain) == n:
+            verify_grid(ws, Grid(verticals=ws.order_chain(chain, rep), horizontals=cross))
+            for j in chain + cross:
+                marked |= 1 << j
+            return False
+        for j in chain:
+            ext |= 1 << j
+        return ext.bit_count() >= n and bool(ext & ~marked)
 
-    if pairs0:
-        dfs(
-            1 << wall,
-            1,
-            pairs0,
-            ws._trans_int[wall],
-            ws._disjoint_int[wall],
-            -1,
-        )
-    return state["found"], state["exact"]
+    _, exact = _chain_search(ws, visit, GRID_NODE_CAP, n)
+    return frozenset(j for j in range(ws.h) if (marked >> j) & 1), exact
 
 
 # -- flat rectangles -------------------------------------------------------------
@@ -430,13 +423,6 @@ class DeltaReport:
     method: str
 
 
-def _four_point(d, x, y, u, v) -> int:
-    s = sorted(
-        (int(d[x, y] + d[u, v]), int(d[x, u] + d[y, v]), int(d[x, v] + d[y, u]))
-    )
-    return s[2] - s[1]
-
-
 def _far_apart(d: np.ndarray, nbrs) -> np.ndarray:
     """Far-apart mask of the metric d: (x, y) is far apart when no
     neighbour of x is farther from y and no neighbour of y is farther from x.
@@ -448,13 +434,7 @@ def _far_apart(d: np.ndarray, nbrs) -> np.ndarray:
     return near & near.T
 
 
-def delta(
-    g: MedianGraph,
-    metric: str = L1,
-    sample: int | None = None,
-    seed: int = 0,
-    size_limit: int = DELTA_SIZE_LIMIT,
-) -> DeltaReport:
+def delta(g: MedianGraph, metric: str = L1) -> DeltaReport:
     """Four-point hyperbolicity constant: max over 4-tuples of the defect
     between the two largest pair sums, halved.  The size cap is checked
     before the metric table is built.
@@ -471,23 +451,12 @@ def delta(
     most min(d(x, y), d(u, v)); a positive defect needs four distinct
     points, so every sum is at least 2 and pairs at distance 1 add nothing.
     """
-    n = g.n
-    if n > size_limit and sample is None:
+    if g.n > DELTA_SIZE_LIMIT:
         raise SizeCapError(
-            f"exact four-point scan is capped at {size_limit} vertices "
-            f"(got {n}); a sampled lower bound is library-only: "
-            "delta(g, sample=k)"
+            f"exact four-point scan is capped at {DELTA_SIZE_LIMIT} vertices "
+            f"(got {g.n})"
         )
     d = g.dist_matrix(metric).astype(np.int64)
-    if n > size_limit:
-        rng = random.Random(seed)
-        best, wit = 0, None
-        for _ in range(sample):
-            xs = rng.sample(range(n), 4)
-            val = _four_point(d, *xs)
-            if val > best:
-                best, wit = val, tuple(g.ids[i] for i in xs)
-        return DeltaReport(Fraction(best, 2), wit, LOWER_BOUND)
     if metric == L1:
         nbrs = g.adj
     else:
@@ -524,29 +493,25 @@ class BigonReport:
     method: str
 
 
-def bigon_thinness(
-    g: MedianGraph, metric: str = L1, size_limit: int = DELTA_SIZE_LIMIT
-) -> BigonReport:
+def bigon_thinness(g: MedianGraph, metric: str = L1) -> BigonReport:
     """Thinness of geodesic bigons of g, measured in the chosen metric.
 
     Geodesics are always taken in g itself; LINF measures their divergence
     in the cube cone-off metric (g must be median for that).  The size cap
     is checked before the metric table is built.
     """
-    _check_bigon_size(g, size_limit)
-    return bigon_thinness_in(g, g.dist_matrix(metric), size_limit)
+    _check_bigon_size(g)
+    return bigon_thinness_in(g, g.dist_matrix(metric))
 
 
-def _check_bigon_size(g: MedianGraph, size_limit: int) -> None:
-    if g.n > size_limit:
+def _check_bigon_size(g: MedianGraph) -> None:
+    if g.n > DELTA_SIZE_LIMIT:
         raise SizeCapError(
-            f"bigon scan is capped at {size_limit} vertices (got {g.n})"
+            f"bigon scan is capped at {DELTA_SIZE_LIMIT} vertices (got {g.n})"
         )
 
 
-def bigon_thinness_in(
-    g: MedianGraph, measure: np.ndarray, size_limit: int = DELTA_SIZE_LIMIT
-) -> BigonReport:
+def bigon_thinness_in(g: MedianGraph, measure: np.ndarray) -> BigonReport:
     """Thinness of g's geodesic bigons measured in an external metric table
     (rows/columns aligned with g's vertex order).
 
@@ -563,7 +528,7 @@ def bigon_thinness_in(
     scan of every pair.  Any scan stops once the best gap reaches the
     largest entry of the measure.
     """
-    _check_bigon_size(g, size_limit)
+    _check_bigon_size(g)
     if measure.shape != (g.n, g.n):
         raise GraphInputError("measure matrix shape does not match the graph")
     d = g.dist
@@ -615,13 +580,11 @@ def _bigon_gap(g: MedianGraph, measure: np.ndarray, x: int, y: int) -> int:
 class ConeOff:
     """Cone-off of a base graph over named convex subcomplexes."""
 
-    def __init__(self, base, kind, members, graph, provenance, apexes):
+    def __init__(self, base, kind, members, graph):
         self.base = base
         self.kind = kind
         self.members = members
         self.graph = graph
-        self.provenance = provenance
-        self.apexes = apexes
 
     def __repr__(self):
         return (
@@ -676,36 +639,23 @@ def _validated_members(base: MedianGraph, family) -> dict[str, frozenset[str]]:
     return members
 
 
-def _clique_graph(base: MedianGraph, members):
+def _clique_graph(base: MedianGraph, members) -> MedianGraph:
     edges = {tuple(sorted((base.ids[u], base.ids[v]))) for u, v in base.edges}
-    base_edges = set(edges)
-    provenance: dict[tuple[str, str], list[str]] = {}
-    for name, verts in members.items():
-        for a, b in itertools.combinations(sorted(verts), 2):
-            e = (a, b) if a < b else (b, a)
-            if e not in base_edges:
-                provenance.setdefault(e, []).append(name)
-            edges.add(e)
-    graph = MedianGraph(base.ids, sorted(edges))
-    return graph, {e: tuple(ns) for e, ns in provenance.items()}
+    for verts in members.values():
+        edges.update(itertools.combinations(sorted(verts), 2))
+    return MedianGraph(base.ids, sorted(edges))
 
 
-def _apex_graph(base: MedianGraph, members):
-    apexes = {}
+def _apex_graph(base: MedianGraph, members) -> MedianGraph:
     vertices = list(base.ids)
     edges = [(base.ids[u], base.ids[v]) for u, v in base.edges]
-    provenance = {}
     for name in sorted(members):
         apex = f"apex:{name}"
         if apex in base.index:
             raise ValidationError(f"vertex id {apex!r} collides with an apex name")
-        apexes[apex] = name
         vertices.append(apex)
-        for v in sorted(members[name]):
-            edges.append((apex, v))
-            provenance[(apex, v)] = (name,)
-    graph = MedianGraph(vertices, edges)
-    return graph, provenance, apexes
+        edges.extend((apex, v) for v in sorted(members[name]))
+    return MedianGraph(vertices, edges)
 
 
 def _assert_sandwich(base, clique_graph, apex_graph):
@@ -732,13 +682,13 @@ def cone_off(base: MedianGraph, family, kind: str = CLIQUE) -> ConeOff:
     base vertices.
     """
     members = _validated_members(base, family)
-    clique_graph, clique_prov = _clique_graph(base, members)
-    apex_graph, apex_prov, apexes = _apex_graph(base, members)
+    clique_graph = _clique_graph(base, members)
+    apex_graph = _apex_graph(base, members)
     _assert_sandwich(base, clique_graph, apex_graph)
     if kind == CLIQUE:
-        return ConeOff(base, CLIQUE, members, clique_graph, clique_prov, {})
+        return ConeOff(base, CLIQUE, members, clique_graph)
     if kind == APEX:
-        return ConeOff(base, APEX, members, apex_graph, apex_prov, apexes)
+        return ConeOff(base, APEX, members, apex_graph)
     raise GraphInputError(f"unknown cone-off kind {kind!r}")
 
 
@@ -767,16 +717,17 @@ def hyperplane_carrier(g: MedianGraph, index: int) -> frozenset[str]:
     return frozenset(v for e in h.dual_edges for v in e)
 
 
-def contracting(g: MedianGraph, n: int, cap: int = GRID_NODE_CAP) -> ContractingReport:
+def contracting(g: MedianGraph, n: int) -> ContractingReport:
     """Classify each hyperplane as n-contracting or not, and build the
     cone-off over the carriers of the non-contracting ones.
 
     A hyperplane is n-contracting when its dimension is below n and no
-    (n,n)-grid contains it.
+    (n,n)-grid contains it; one `walls_in_grids` search decides every
+    hyperplane.
     """
     if n < 1:
         raise GraphInputError("contracting level must be >= 1")
-    ws = g.wall_system
+    in_grid, exact = walls_in_grids(g.wall_system, n)
     verdicts = []
     for h in g.hyperplanes():
         if h.dimension >= n:
@@ -784,14 +735,14 @@ def contracting(g: MedianGraph, n: int, cap: int = GRID_NODE_CAP) -> Contracting
                 HyperplaneVerdict(h.index, h.dimension, None, False, EXACT)
             )
             continue
-        found, exact = has_grid_through(ws, h.index, n, cap)
+        found = h.index in in_grid
         verdicts.append(
             HyperplaneVerdict(
                 h.index,
                 h.dimension,
                 found,
                 not found,
-                EXACT if exact else LOWER_BOUND,
+                EXACT if found or exact else LOWER_BOUND,
             )
         )
     members = {
@@ -842,9 +793,7 @@ def fineness_certificate(base: MedianGraph, family) -> FinenessCertificate:
     )
 
 
-def cycle_probe(
-    cone: ConeOff, edge: tuple[str, str], length: int, cap: int = CYCLE_COUNT_CAP
-) -> tuple[int, str]:
+def cycle_probe(cone: ConeOff, edge: tuple[str, str], length: int) -> tuple[int, str]:
     """Count simple cycles of exactly `length` edges through a given edge.
 
     Each cycle is traced once (the traversal direction is fixed by the
@@ -864,7 +813,7 @@ def cycle_probe(
         if len(path) == length:
             if ia in adj[u]:
                 count += 1
-                if count >= cap:
+                if count >= CYCLE_COUNT_CAP:
                     return count, LOWER_BOUND
             continue
         for w in adj[u]:

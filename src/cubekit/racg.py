@@ -219,7 +219,7 @@ def _separator_for(dg: DefiningGraph) -> str:
     raise GraphInputError("generator names leave no free separator character")
 
 
-def ball(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> RacgBall:
+def ball(dg: DefiningGraph, r: int) -> RacgBall:
     """The radius-r ball of the Cayley graph, on shortlex normal forms listed
     by length and then shortlex, so each edge goes up from its lower index."""
     if r < 0:
@@ -247,9 +247,10 @@ def ball(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> RacgBall:
                 if g not in forms:
                     forms.add(g)
                     nxt.append(g)
-                    if len(forms) > cap:
+                    if len(forms) > BALL_VERTEX_CAP:
                         raise SizeCapError(
-                            f"ball exceeds the {cap}-vertex cap at radius {ln + 1}"
+                            f"ball exceeds the {BALL_VERTEX_CAP}-vertex cap "
+                            f"at radius {ln + 1}"
                         )
         frontier = nxt
     ordered = sorted(forms, key=lambda t: (len(t), [dg.rank[x] for x in t]))
@@ -284,7 +285,7 @@ class BallWalls:
             ) from None
 
 
-def ball_walls(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> BallWalls:
+def ball_walls(dg: DefiningGraph, r: int) -> BallWalls:
     """Walls of the Cayley ball from the Tits representation.
 
     With the integral Tits form B (1 on the diagonal, 0 on the edges of the
@@ -300,7 +301,7 @@ def ball_walls(dg: DefiningGraph, r: int, cap: int = BALL_VERTEX_CAP) -> BallWal
     (a row of `roots`, in the basis of the generators) and its sides (True
     on the identity's side).  All of it is exact.
     """
-    b = ball(dg, r, cap)
+    b = ball(dg, r)
     g, ids, rank, k = b.graph, b.graph.ids, dg.rank, len(dg.vertices)
     B = np.full((k, k), -1, dtype=np.int64)
     for a, nbrs in dg.adj.items():
@@ -434,9 +435,14 @@ def validate_decomposition(dg: DefiningGraph, members) -> DecompositionVerdict:
     is as if checked on all large joins; `join_cover_ok` may differ only
     where `closure_ok` fails.
     """
+    return _decomposition_verdict(dg, members, dg.induced_squares())
+
+
+def _decomposition_verdict(dg: DefiningGraph, members, squares) -> DecompositionVerdict:
+    """`validate_decomposition` with the induced squares already listed."""
     verts, links = dg.vertices, dg._links
     mem = [dg._mask(m) for m in members]
-    miss = [q for q in map(dg._mask, dg.induced_squares()) if all(q & ~m for m in mem)]
+    miss = [q for q in map(dg._mask, squares) if all(q & ~m for m in mem)]
     meet = [
         (a, b) for a, b in itertools.combinations(mem, 2) if not _complete(links, a & b)
     ]
@@ -471,9 +477,9 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
     meet in a non-complete set iff both hold some non-adjacent pair, so a
     union-find joins each member to the first one that holds the same pair.
     """
-    links = dg._links
+    links, squares = dg._links, dg.induced_squares()
     if seed == SQUARES:
-        current = sorted(map(frozenset, dg.induced_squares()), key=sorted)
+        current = sorted(map(frozenset, squares), key=sorted)
     elif seed == LARGE_JOINS:
         current = list(maximal_large_joins(dg))  # sorted by sorted names
     else:
@@ -495,7 +501,7 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
             break
         current = nxt
         trace.append(current)
-    if current and not (verdict := validate_decomposition(dg, current)).ok:
+    if current and not (verdict := _decomposition_verdict(dg, current, squares)).ok:
         raise ConsistencyError(
             f"fixed point is not a join decomposition: {verdict.witness}"
         )

@@ -217,11 +217,12 @@ def cubes_interval_brute(g):
     return cubes
 
 
-def grid_pareto_bruteforce(sides, transverse) -> set[tuple[int, int]]:
-    """Pareto-maximal grid sizes (p >= q) by raw subset enumeration (H <= 14).
+def _chains_brute(sides, transverse) -> tuple[list[int], list[int]]:
+    """Every chain as a wall bitmask, by raw subset enumeration (H <= 14),
+    and each wall's transverse mask.
 
-    A family is a chain iff some vertex pair is separated by every member,
-    which is tested directly against the halfspace table.
+    A family is a chain iff some vertex pair is separated by every member
+    and no two members cross, which is tested directly against the tables.
     """
     h, n = sides.shape
     if h > 14:
@@ -243,9 +244,6 @@ def grid_pareto_bruteforce(sides, transverse) -> set[tuple[int, int]]:
                 m |= 1 << k
         trans_masks.append(m)
 
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
     def pairwise_disjoint(s: int) -> bool:
         j, ss = 0, s
         while ss:
@@ -255,31 +253,102 @@ def grid_pareto_bruteforce(sides, transverse) -> set[tuple[int, int]]:
             j += 1
         return True
 
-    # chain = all members separate a common vertex pair AND pairwise disjoint
     chains = [
         s
         for s in range(1, 1 << h)
         if any(s & m == s for m in pair_masks) and pairwise_disjoint(s)
     ]
+    return chains, trans_masks
 
+
+def _crossing(trans_masks, chain: int) -> int:
+    """Mask of the walls transverse to every member of `chain`."""
+    tmask = (1 << len(trans_masks)) - 1
+    for j, m in enumerate(trans_masks):
+        if (chain >> j) & 1:
+            tmask &= m
+    return tmask
+
+
+def grid_pareto_bruteforce(sides, transverse) -> set[tuple[int, int]]:
+    """Pareto-maximal grid sizes (p >= q) by raw subset enumeration (H <= 14)."""
+    chains, trans_masks = _chains_brute(sides, transverse)
     results = []
     for c in chains:
-        tmask = (1 << h) - 1
-        cc, j = c, 0
-        while cc:
-            if cc & 1:
-                tmask &= trans_masks[j]
-            cc >>= 1
-            j += 1
-        q = max((popcount(c2) for c2 in chains if c2 & tmask == c2), default=0)
+        tmask = _crossing(trans_masks, c)
+        q = max((c2.bit_count() for c2 in chains if c2 & tmask == c2), default=0)
         if q:
-            p2, q2 = popcount(c), q
+            p2, q2 = c.bit_count(), q
             results.append((max(p2, q2), min(p2, q2)))
     return {
         (p, q)
         for p, q in results
         if not any(p2 >= p and q2 >= q and (p2, q2) != (p, q) for p2, q2 in results)
     }
+
+
+def grid_walls_brute(sides, transverse, n: int) -> frozenset[int]:
+    """Walls lying in some (n, n)-grid, by raw subset enumeration (H <= 14):
+    the members of every n-chain that some n-chain crosses."""
+    chains, trans_masks = _chains_brute(sides, transverse)
+    square = [c for c in chains if c.bit_count() == n]
+    walls = 0
+    for c in square:
+        tmask = _crossing(trans_masks, c)
+        if any(c2 & tmask == c2 for c2 in square):
+            walls |= c
+    return frozenset(j for j in range(len(trans_masks)) if (walls >> j) & 1)
+
+
+def grid_through_wall_brute(ws, wall: int, n: int, cap: int = 200_000) -> tuple[bool, bool]:
+    """Whether some (n,n)-grid has `wall` in one of its chains: (found, exact).
+
+    One depth-first search per wall: chains through `wall` are grown as
+    nested subsets of separation masks until n walls cross n others.
+    """
+    if n == 1:
+        return bool(ws.transverse[wall].any()), True
+    pairs0 = [(m, r) for m, r in ws.pairs if (m >> wall) & 1]
+    state = {"nodes": 0, "exact": True, "found": False}
+
+    def dfs(chain_mask, p, pairs, tmask, dmask, last):
+        if state["found"]:
+            return
+        if state["nodes"] >= cap:
+            state["exact"] = False
+            return
+        state["nodes"] += 1
+        if ws.longest_chain(tmask)[0] < n:
+            return
+        if p >= n:
+            state["found"] = True
+            return
+        ext = 0
+        for m, _ in pairs:
+            ext |= m
+        ext &= dmask & ~chain_mask & ~(1 << wall)
+        if last >= 0:
+            ext = (ext >> (last + 1)) << (last + 1)
+        if p + ext.bit_count() < n:
+            return
+        rest = ext
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            sub_pairs = [(m, r) for m, r in pairs if (m >> j) & 1]
+            dfs(
+                chain_mask | low,
+                p + 1,
+                sub_pairs,
+                tmask & ws._trans_int[j],
+                dmask & ws._disjoint_int[j],
+                j,
+            )
+
+    if pairs0:
+        dfs(1 << wall, 1, pairs0, ws._trans_int[wall], ws._disjoint_int[wall], -1)
+    return state["found"], state["exact"]
 
 
 def rectangle_sizes_bruteforce(g, max_cells: int = 64) -> set[tuple[int, int]]:
@@ -745,7 +814,7 @@ def ball_walls_words_brute(dg, r: int, buffer: int, cap: int = 20000):
     are certified by commuting squares based in the radius-(r + buffer) ball
     only, so the transversality table is a subset of the true one.
     """
-    b = ball(dg, r, cap)
+    b = ball(dg, r)
     wall_index: dict[tuple[str, ...], int] = {}
     dual: list[list[tuple[str, str]]] = []
     for iu, iw in b.graph.edges:

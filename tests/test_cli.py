@@ -1,7 +1,6 @@
 """End-to-end tests for the cubekit command line tool."""
 
 import argparse
-import functools
 import json
 import os
 import subprocess
@@ -233,11 +232,7 @@ class TestExitCodes:
         monkeypatch.setattr(
             MedianGraph, "dist_matrix", lambda self, m="l1": built.append(m)
         )
-        call = diagnostics.delta if op == "delta" else diagnostics.bigon_thinness
-        monkeypatch.setattr(
-            cli, "delta" if op == "delta" else "bigon_thinness",
-            functools.partial(call, size_limit=3),
-        )
+        monkeypatch.setattr(diagnostics, "DELTA_SIZE_LIMIT", 3)
         argv = ["diag", op, files("g", SQUARE), "--metric", metric]
         assert cli.main(argv) == 4
         assert "capped at 3 vertices" in capsys.readouterr().err

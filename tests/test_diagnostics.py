@@ -27,12 +27,12 @@ from cubekit.diagnostics import (
     delta,
     fineness_certificate,
     grid_search,
-    has_grid_through,
     hyperplane_carrier,
     max_grid,
     max_thick_rectangle,
     verify_flat_rectangle,
     verify_grid,
+    walls_in_grids,
 )
 from cubekit.errors import (
     ConsistencyError,
@@ -144,15 +144,87 @@ def test_grid_node_cap_degrades_to_lower_bound():
 def test_grid_through_every_wall_of_flat_grid():
     g = fx.grid_graph(5, 5)
     ws = g.wall_system
+    walls, exact = walls_in_grids(ws, 3)
     for j in range(g.hyperplane_count):
-        assert has_grid_through(ws, j, 3) == (True, True)
-    assert has_grid_through(ws, 0, 6) == (False, True)
+        assert (j in walls, exact) == (True, True)
+    walls, exact = walls_in_grids(ws, 6)
+    assert (0 in walls, exact) == (False, True)
 
 
 def test_no_grid_through_tree_wall():
     g = fx.random_tree(10, random.Random(1))
-    ws = g.wall_system
-    assert has_grid_through(ws, 0, 2) == (False, True)
+    walls, exact = walls_in_grids(g.wall_system, 2)
+    assert (0 in walls, exact) == (False, True)
+
+
+def test_walls_in_grids_match_both_oracles(monkeypatch):
+    # the subset oracle and the per-wall search, on 100 seeded products and
+    # the named fixtures with at most 14 hyperplanes; every marked wall
+    # lies in a grid that verify_grid accepted
+    verified = []
+
+    def spy(ws, grid):
+        verify_grid(ws, grid)
+        verified.append(grid)
+
+    monkeypatch.setattr(diagnostics, "verify_grid", spy)
+    named = [g for g in fx.named_fixtures().values() if g.hyperplane_count <= 14]
+    for g in named + _seeded_products(100, 13):
+        ws = g.wall_system
+        for n in (1, 2, 3, 4):
+            verified.clear()
+            walls, exact = walls_in_grids(ws, n)
+            assert exact
+            assert walls == bf.grid_walls_brute(g.sides, g.transverse, n)
+            per_wall = [bf.grid_through_wall_brute(ws, j, n) for j in range(ws.h)]
+            assert walls == {j for j, (found, _) in enumerate(per_wall) if found}
+            assert all(ok for _, ok in per_wall)
+            if n > 1:
+                shown = {j for grid in verified for j in grid.verticals + grid.horizontals}
+                assert all(len(grid.verticals) == n <= len(grid.horizontals) for grid in verified)
+                assert shown == walls
+
+
+def test_contracting_makes_one_chain_search(monkeypatch):
+    searches = []
+    real = diagnostics._chain_search
+
+    def spy(ws, visit, cap, *need):
+        searches.append(cap)
+        return real(ws, visit, cap, *need)
+
+    monkeypatch.setattr(diagnostics, "_chain_search", spy)
+    for g, n in ((fx.grid_graph(5, 5), 3), (fx.staircase(5), 3), (fx.grid_graph(5, 5), 6)):
+        searches.clear()
+        contracting(g, n)
+        assert searches == [diagnostics.GRID_NODE_CAP]
+    searches.clear()
+    max_grid(fx.grid_graph(3, 2))
+    assert searches == [diagnostics.GRID_NODE_CAP]
+
+
+def test_contracting_verdicts_match_the_per_wall_search():
+    for g in (fx.grid_graph(5, 5), fx.staircase(5), fx.random_tree(10, random.Random(3)),
+              *_seeded_products(12, 5)):
+        for n in (1, 2, 3, 4):
+            for v in contracting(g, n).verdicts:
+                if v.dimension >= n:
+                    assert (v.grid_found, v.contracting) == (None, False)
+                else:
+                    found, _ = bf.grid_through_wall_brute(g.wall_system, v.index, n)
+                    assert (v.grid_found, v.contracting, v.method) == (found, not found, EXACT)
+
+
+def test_contracting_past_the_node_cap_is_a_lower_bound(monkeypatch):
+    # the one budget runs out before every wall is reached: the walls found
+    # stay exact, the rest are contracting only as a lower bound
+    monkeypatch.setattr(diagnostics, "GRID_NODE_CAP", 5)
+    rep = contracting(fx.grid_graph(5, 5), 3)
+    found = [v for v in rep.verdicts if v.grid_found]
+    unfound = [v for v in rep.verdicts if not v.grid_found]
+    assert found and unfound
+    assert all(not v.contracting and v.method == EXACT for v in found)
+    assert all(v.contracting and v.method == LOWER_BOUND for v in unfound)
 
 
 def test_wall_side_classification():
@@ -413,9 +485,6 @@ def test_four_point_size_cap_and_sampling():
     g = fx.path_graph(450)
     with pytest.raises(SizeCapError):
         delta(g)
-    rep = delta(g, sample=100, seed=3)
-    assert rep.method == LOWER_BOUND
-    assert rep.value == 0
 
 
 # -- bigon thinness -----------------------------------------------------------------
@@ -487,15 +556,13 @@ def test_size_caps_are_checked_before_the_metric_table(metric, monkeypatch):
         return table(self, m)
 
     monkeypatch.setattr(MedianGraph, "dist_matrix", spy)
+    monkeypatch.setattr(diagnostics, "DELTA_SIZE_LIMIT", 10)
     g = fx.grid_graph(3, 3)
     with pytest.raises(SizeCapError):
-        delta(g, metric, size_limit=10)
+        delta(g, metric)
     with pytest.raises(SizeCapError):
-        bigon_thinness(g, metric, size_limit=10)
+        bigon_thinness(g, metric)
     assert built == []
-    # the sampled four-point scan still runs above the limit
-    assert delta(g, metric, sample=20, size_limit=10).method == LOWER_BOUND
-    assert built == [metric]
 
 
 def test_external_measure_shape_is_checked():
@@ -702,8 +769,9 @@ def test_clique_coneoff_distances():
 def test_apex_coneoff_structure():
     g = fx.grid_graph(3, 3)
     co = cone_off(g, rows_family(3, 3), APEX)
-    assert sorted(co.apexes) == [f"apex:row{y}" for y in range(4)]
-    for a in co.apexes:
+    apexes = [v for v in co.graph.ids if v not in g.index]
+    assert sorted(apexes) == [f"apex:row{y}" for y in range(4)]
+    for a in apexes:
         assert len(co.graph.adj[co.graph.index[a]]) == 4
     assert co.distance("0,0", "3,3") == 5
 
@@ -722,20 +790,30 @@ def test_coneoff_sandwich_is_checked_on_every_pair(monkeypatch):
     # an apex graph without apexes: row ends are 1 apart in the clique
     # cone-off but 3 apart here, past twice the clique distance
     monkeypatch.setattr(
-        diagnostics, "_apex_graph", lambda base, members: (base, {}, {})
+        diagnostics, "_apex_graph", lambda base, members: base
     )
     with pytest.raises(ConsistencyError, match="sandwich fails at .*clique 1, apex 3"):
         cone_off(fx.grid_graph(3, 3), rows_family(3, 3), CLIQUE)
 
 
 def test_coneoff_provenance_names_members():
+    # every added edge comes from exactly one member: a clique edge joins
+    # two vertices of one row, an apex edge joins a row's apex to the row
     g = fx.grid_graph(3, 3)
-    co = cone_off(g, rows_family(3, 3), CLIQUE)
-    assert all(len(names) == 1 and names[0].startswith("row") for names in co.provenance.values())
+    rows = rows_family(3, 3)
+    co = cone_off(g, rows, CLIQUE)
     base_edges = {tuple(sorted((g.ids[u], g.ids[v]))) for u, v in g.edges}
-    assert not set(co.provenance) & base_edges
-    ap = cone_off(g, rows_family(3, 3), APEX)
-    assert all(e[0].startswith("apex:") for e in ap.provenance)
+    added = {tuple(sorted((co.graph.ids[u], co.graph.ids[v]))) for u, v in co.graph.edges}
+    added -= base_edges
+    assert added
+    for e in added:
+        names = [name for name, verts in rows.items() if set(e) <= set(verts)]
+        assert len(names) == 1 and names[0].startswith("row")
+    ap = cone_off(g, rows, APEX)
+    for u, v in ap.graph.edges:
+        a, b = sorted((ap.graph.ids[u], ap.graph.ids[v]))
+        if (a, b) not in base_edges:
+            assert b.startswith("apex:") and a in rows[b.removeprefix("apex:")]
 
 
 def test_nonconvex_member_is_rejected_with_name():
@@ -909,10 +987,11 @@ def test_cycle_probe_counts_short_cycles():
     assert bf.count_cycles_through_edge(adj, ("1", "2"), 4, 10**6) == 2
 
 
-def test_cycle_probe_respects_cap_and_bounds():
+def test_cycle_probe_respects_cap_and_bounds(monkeypatch):
     g = fx.grid_graph(3, 3)
     co = cone_off(g, {"all": list(g.ids)}, CLIQUE)
-    count, method = cycle_probe(co, ("0,0", "1,0"), 5, cap=7)
+    monkeypatch.setattr(diagnostics, "CYCLE_COUNT_CAP", 7)
+    count, method = cycle_probe(co, ("0,0", "1,0"), 5)
     assert method == LOWER_BOUND
     assert count == 7
     with pytest.raises(GraphInputError):

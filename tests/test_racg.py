@@ -8,7 +8,7 @@ import pytest
 
 import bruteforce as bf
 from cubekit import racg
-from cubekit.diagnostics import has_grid_through
+from cubekit.diagnostics import walls_in_grids
 from cubekit.errors import GraphInputError, SizeCapError
 from cubekit.median import MedianGraph
 from cubekit.racg import (
@@ -198,13 +198,14 @@ class TestBall:
             want = sum(1 for d in oracle.values() if d <= r)
             assert ball(dg, r).graph.n == want
 
-    def test_radius_zero_and_validation(self):
+    def test_radius_zero_and_validation(self, monkeypatch):
         b = ball(dgn(*C4), 0)
         assert b.graph.n == 1 and b.graph.ids == [b.identity]
         with pytest.raises(GraphInputError):
             ball(dgn(*C4), -1)
+        monkeypatch.setattr(racg, "BALL_VERTEX_CAP", 5)
         with pytest.raises(SizeCapError):
-            ball(dgn(*C4), 2, cap=5)
+            ball(dgn(*C4), 2)
 
     def test_identity_name_avoids_every_generator(self):
         # every named choice is taken, "<identity>" too, so the fallback must
@@ -306,9 +307,10 @@ class TestBallWalls:
         for spec, want in expected:
             dg = dgn(*spec)
             bw = ball_walls(dg, 3)
-            for v, w in want.items():
-                for n in (2, 3):
-                    found, _ = has_grid_through(bw.system, bw.generator_wall(v), n)
+            for n in (2, 3):
+                walls, _ = walls_in_grids(bw.system, n)
+                for v, w in want.items():
+                    found = bw.generator_wall(v) in walls
                     assert found == w, (spec[1], v, n)
 
     def test_contracting_generators_see_no_grids(self):
@@ -318,11 +320,26 @@ class TestBallWalls:
             dg = dgn(*spec)
             verdicts = dict(contracting_generators(dg).contracting)
             bw = ball_walls(dg, 3)
-            for v, is_contracting in verdicts.items():
-                if is_contracting:
-                    for n in (2, 3):
-                        found, _ = has_grid_through(bw.system, bw.generator_wall(v), n)
+            for n in (2, 3):
+                walls, _ = walls_in_grids(bw.system, n)
+                for v, is_contracting in verdicts.items():
+                    if is_contracting:
+                        found = bw.generator_wall(v) in walls
                         assert not found
+
+    def test_walls_in_grids_match_the_oracles_on_balls(self):
+        # Coxeter ball walls: the per-wall search everywhere, the subset
+        # oracle where the ball has at most 14 walls
+        for spec, radii in ((C4, (1, 2, 3)), (C5, (1, 2, 3)), (TWO_SQUARES, (1, 2))):
+            for r in radii:
+                ws = ball_walls(dgn(*spec), r).system
+                for n in (1, 2, 3, 4):
+                    walls, exact = walls_in_grids(ws, n)
+                    per_wall = [bf.grid_through_wall_brute(ws, j, n) for j in range(ws.h)]
+                    assert exact and all(ok for _, ok in per_wall)
+                    assert walls == {j for j, (found, _) in enumerate(per_wall) if found}
+                    if ws.h <= 14:
+                        assert walls == bf.grid_walls_brute(ws.sides, ws.transverse, n)
 
 
 def _random_defining_graphs(count, seed):
@@ -524,6 +541,21 @@ class TestJSequence:
         assert set(j_sequence(dg, SQUARES).members) == set(
             j_sequence(dg, LARGE_JOINS).members
         )
+
+    def test_squares_are_listed_once_per_run(self, monkeypatch):
+        calls = []
+        real = DefiningGraph.induced_squares
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(DefiningGraph, "induced_squares", spy)
+        for spec in (C4, C5, C4_PENDANT, TWO_SQUARES, K24):
+            for seed in (SQUARES, LARGE_JOINS):
+                calls.clear()
+                j_sequence(dgn(*spec), seed)
+                assert len(calls) == 1, (spec, seed)
 
     def test_seed_invariance_on_random_graphs(self):
         rng = random.Random(11)
