@@ -212,13 +212,10 @@ def walls_in_grids(ws: WallSystem, n: int) -> tuple[frozenset[int], bool]:
     them.  A branch is cut when the walls crossing its chain hold no
     n-chain, when it cannot reach n walls, or when its chain and extension
     mask hold no unmarked wall.  Past `GRID_NODE_CAP` nodes the walls left
-    unmarked are only not known to lie in a grid.  A (1,1)-grid is a pair of
-    crossing walls, so n = 1 needs no search.
+    unmarked are only not known to lie in a grid.
     """
     if n < 1:
         raise GraphInputError("grid size must be >= 1")
-    if n == 1:
-        return frozenset(np.flatnonzero(ws.transverse.any(axis=1)).tolist()), True
     marked = 0
 
     def visit(chain, rep, cross, ext):

@@ -477,8 +477,9 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
     meet in a non-complete set iff both hold some non-adjacent pair, so a
     union-find joins each member to the first one that holds the same pair.
     """
-    links, squares = dg._links, dg.induced_squares()
+    links, squares = dg._links, None
     if seed == SQUARES:
+        squares = dg.induced_squares()
         current = sorted(map(frozenset, squares), key=sorted)
     elif seed == LARGE_JOINS:
         current = list(maximal_large_joins(dg))  # sorted by sorted names
@@ -501,10 +502,14 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
             break
         current = nxt
         trace.append(current)
-    if current and not (verdict := _decomposition_verdict(dg, current, squares)).ok:
-        raise ConsistencyError(
-            f"fixed point is not a join decomposition: {verdict.witness}"
-        )
+    if current:
+        if squares is None:
+            squares = dg.induced_squares()
+        verdict = _decomposition_verdict(dg, current, squares)
+        if not verdict.ok:
+            raise ConsistencyError(
+                f"fixed point is not a join decomposition: {verdict.witness}"
+            )
     return JoinDecompositionReport(
         seed=seed,
         trace=tuple(map(tuple, trace)),

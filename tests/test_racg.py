@@ -554,8 +554,9 @@ class TestJSequence:
         for spec in (C4, C5, C4_PENDANT, TWO_SQUARES, K24):
             for seed in (SQUARES, LARGE_JOINS):
                 calls.clear()
-                j_sequence(dgn(*spec), seed)
-                assert len(calls) == 1, (spec, seed)
+                rep = j_sequence(dgn(*spec), seed)
+                # a large-joins run lists them only to check a nonempty fixed point
+                assert len(calls) == int(seed == SQUARES or bool(rep.members)), (spec, seed)
 
     def test_seed_invariance_on_random_graphs(self):
         rng = random.Random(11)
