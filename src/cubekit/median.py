@@ -162,6 +162,12 @@ class ConvexityVerdict:
 # -- wall systems --------------------------------------------------------------
 
 
+def _row_bits(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean table as an int whose bit i is column i."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 def side_meets(sides: np.ndarray) -> np.ndarray:
     """Boolean (2, 2, H, H) table: [a, b, j, k] says side a of wall j meets
     side b of wall k, where side 0 of a wall is the True entries of its row
@@ -196,7 +202,8 @@ class WallSystem:
         self.nv = int(self.sides.shape[1])
         if self.transverse.shape != (self.h, self.h):
             raise GraphInputError("transversality table has the wrong shape")
-        self._side_count = self.sides.sum(axis=1).astype(np.int64)
+        self._side_count: list[int] = self.sides.sum(axis=1).tolist()
+        self._columns: list[int] | None = None
         self._trans_int: list[int] = []
         for j in range(self.h):
             m = 0
@@ -257,12 +264,23 @@ class WallSystem:
                     yield found[-1]
         self._pairs = found
 
+    @property
+    def columns(self) -> list[int]:
+        """Each vertex's halfspace column as an int: bit j is set when the
+        vertex lies in side 0 of wall j, so x ^ y masks the walls separating
+        x from y."""
+        if self._columns is None:
+            self._columns = _row_bits(self.sides.T)
+        return self._columns
+
     def order_chain(self, members, rep: tuple[int, int]) -> tuple[int, ...]:
-        """Order a chain by halfspace nesting toward the first pair vertex."""
-        members = np.array(members, dtype=np.intp)
-        toward = np.where(self.sides[members, rep[0]], self._side_count[members],
-                          self.nv - self._side_count[members])
-        return tuple(int(j) for j in members[np.argsort(toward, kind="stable")])
+        """Order a chain by halfspace nesting toward the first pair vertex:
+        by the size of the side holding rep[0], ties kept in given order."""
+        col, count, nv = self.columns[rep[0]], self._side_count, self.nv
+        return tuple(sorted(
+            (int(j) for j in members),
+            key=lambda j: count[j] if col >> j & 1 else nv - count[j],
+        ))
 
     def longest_chain(self, mask: int) -> tuple[int, tuple[int, ...], tuple | None]:
         """Longest chain inside the wall set `mask` (a bitmask)."""
@@ -299,11 +317,12 @@ class WallSystem:
             rest ^= low
         members = self.order_chain(members, rep)
         k = len(members)
+        disjoint = [self._disjoint_int[j] for j in members]
         f = [1] * k
         parent = [-1] * k
-        for i in range(k):
+        for i, b in enumerate(members):
             for t in range(i):
-                if not self.transverse[members[t], members[i]] and f[t] + 1 > f[i]:
+                if f[t] >= f[i] and disjoint[t] >> b & 1:
                     f[i] = f[t] + 1
                     parent[i] = t
         if k == 0:
@@ -602,11 +621,8 @@ class MedianGraph:
     def separating(self, x: str, y: str) -> list[int]:
         """Indices of hyperplanes separating two vertices."""
         ix, iy = self.indices_of([x, y])
-        return [int(j) for j in np.flatnonzero(self._sep_mask(ix, iy))]
-
-    def _sep_mask(self, ix: int, iy: int) -> np.ndarray:
         s = self.sides
-        return s[:, ix] != s[:, iy]
+        return [int(j) for j in np.flatnonzero(s[:, ix] != s[:, iy])]
 
     def hyperplanes(self) -> list[Hyperplane]:
         """The hyperplane inventory with halfspaces and cube dimensions."""
@@ -783,8 +799,8 @@ class MedianGraph:
         if metric == L1:
             return int(self.dist_matrix(L1)[ix, iy])
         if metric == LINF:
-            mask = sum(1 << int(j) for j in np.flatnonzero(self._sep_mask(ix, iy)))
-            chain = self.wall_system._chain_in_pair(mask, (ix, iy))[0]
+            ws = self.wall_system
+            chain = ws._chain_in_pair(ws.columns[ix] ^ ws.columns[iy], (ix, iy))[0]
             bfs = int(self.dist_matrix(LINF)[ix, iy])
             if chain != bfs:
                 raise ConsistencyError(

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .formats import RawComplex
-from .median import MedianGraph, UnionFind, WallSystem, side_meets
+from .median import MedianGraph, UnionFind, WallSystem, _row_bits, side_meets
 
 EDGE_CUBE = "edge-cube"
 CELL_CUBE = "cell-cube"
@@ -464,12 +464,6 @@ def walls(x: PolygonalComplex) -> tuple[Wall, ...]:
     return tuple(out)
 
 
-def _bits(rows) -> list[int]:
-    """Each row of a boolean table as an int whose bit i is column i."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
 class DualCubeComplex:
     """Median graph of consistent wall orientations.
 
@@ -482,7 +476,9 @@ class DualCubeComplex:
     ``sides[k, i]`` is true when vertex ``base.ids[i]`` (``vertex_index``
     maps ids to columns) lies in side 0 of wall k, and two walls are
     transverse exactly when they pass through a common polygon.
-    ``wall_of_edge`` maps every edge to its wall.
+    ``wall_of_edge`` maps every edge to its wall.  ``_cache`` holds what
+    projection and separation transfer make once per dual: the maximal-cube
+    classification and each projected vertex with its wall masks.
     """
 
     def __init__(self, base, wall_list, vertex_index, system, graph,
@@ -496,6 +492,7 @@ class DualCubeComplex:
         self.orientations = orientations
         self.principal = principal
         self.hyperplane_walls = hyperplane_walls
+        self._cache: dict[str, object] = {}
 
     def __repr__(self):
         return (
@@ -535,14 +532,14 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
     # clash[b][c][k] holds the walls j != k whose side c misses side b of k
     quad = side_meets(sides)
     apart = ~quad & ~np.eye(h, dtype=bool)
-    clash = [[_bits(apart[b, c]) for c in (0, 1)] for b in (0, 1)]
+    clash = [[_row_bits(apart[b, c]) for c in (0, 1)] for b in (0, 1)]
 
     def name(o):
         return "o" + format(o, f"0{h}b")[::-1]
 
     seen: dict[int, str] = {}
     principal = {}
-    for v, o in zip(x.ids, _bits(~sides.T)):
+    for v, o in zip(x.ids, _row_bits(~sides.T)):
         principal[v] = seen.setdefault(o, name(o))
     queue = list(seen)
     for o in queue:
@@ -657,6 +654,13 @@ class ProjectionPoint:
     note: str = ""
 
 
+def _own_classification(dc: DualCubeComplex) -> ClassificationReport:
+    """The dual's maximal cubes classified once, for calls without a report."""
+    if "classification" not in dc._cache:
+        dc._cache["classification"] = classify_maximal_cubes(dc)
+    return dc._cache["classification"]
+
+
 def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
     """Project a dual vertex back into the complex.
 
@@ -664,10 +668,13 @@ def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
     edge.  Otherwise the polygons of all maximal cubes through ``v`` are
     intersected: a whole polygon projects to its center, a shared segment
     to its midpoint, and a single shared vertex to that vertex.
+
+    Without a ``report`` the dual's maximal cubes are classified on the
+    first such call and the classification is kept on ``dc``.
     """
     dc.graph.indices_of([v])  # an unknown id is bad input, not a bug
     if report is None:
-        report = classify_maximal_cubes(dc)
+        report = _own_classification(dc)
     for wset, verts in report.unmatched:
         if v in verts:
             raise ConsistencyError(
@@ -765,12 +772,54 @@ class TransferReport:
         return self.wall_disjoint >= self.dual_disjoint - 2
 
 
+def _transfer_end(x, dc, v, report):
+    """``v``'s projection with the wall masks a transfer needs, as
+    (point, inside, touches, meets, column).
+
+    Over the walls of ``dc.system``, ``inside`` holds those with the whole
+    carrier in side 0, ``touches`` those with some carrier vertex in side 0
+    and ``meets`` those through the point's cell; ``column`` is the
+    carrier's least vertex.  Each vertex is projected once per dual: the
+    points are kept on ``dc`` together with the complex and the report they
+    were made under, and a call with another complex or report starts over.
+    """
+    if report is None:
+        report = _own_classification(dc)
+    made_x, made_report, ends = dc._cache.get("ends", (None, None, None))
+    if made_x is not x or made_report is not report:
+        ends = {}
+        dc._cache["ends"] = (x, report, ends)
+    if v not in ends:
+        point = dual_projection(x, dc, v, report)
+        columns = dc.system.columns
+        inside, touches = -1, 0
+        for c in point.carrier:
+            col = columns[dc.vertex_index[c]]
+            inside &= col
+            touches |= col
+        meets = 0
+        for wall in dc.walls:
+            if _wall_meets_cell(wall, point.cell):
+                meets |= 1 << wall.index
+        column = dc.vertex_index[min(point.carrier)]
+        ends[v] = (point, inside, touches, meets, column)
+    return ends[v]
+
+
 def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     """Project u and w, then compare disjoint separating families.
 
     A wall separates the projections when it misses both carrier cells and
     the carriers sit on opposite sides; disjointness of walls means no
     shared polygon, disjointness of dual hyperplanes means not transverse.
+
+    Each dual vertex is projected once per dual and report (see
+    ``_transfer_end``), and with it are kept its carrier's wall-side bits
+    (their AND and OR over the carrier) and the walls meeting its cell.
+    These depend on nothing but the vertex, so the cached masks are exact:
+    a wall splits the carriers when one carrier's AND has it in side 0 and
+    the other's OR does not.  The dual separating set is the XOR of the two
+    vertices' halfspace columns.
 
     Both families come from the WallSystem chain DP, which tests only
     neighbours in halfspace order.  For the walls this is exact because
@@ -781,27 +830,19 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     t, r share a polygon, share none either: its boundary would have
     vertices on both sides of t and so an edge of t.
     """
-    pu = dual_projection(x, dc, u, report)
-    pw = dual_projection(x, dc, w, report)
+    pu, inside_u, touches_u, meets_u, end_u = _transfer_end(x, dc, u, report)
+    pw, inside_w, touches_w, meets_w, end_w = _transfer_end(x, dc, w, report)
     g = dc.graph
     # separating hyperplanes of a median graph nest, so the chain DP is exact
     rep = tuple(g.indices_of([u, w]))
-    mask = sum(1 << j for j in g.separating(u, w))
-    dual_family = g.wall_system._chain_in_pair(mask, rep)[1]
+    columns = g.wall_system.columns
+    dual_family = g.wall_system._chain_in_pair(
+        columns[rep[0]] ^ columns[rep[1]], rep
+    )[1]
 
-    on_u, on_w = (
-        dc.system.sides[:, [dc.vertex_index[v] for v in p.carrier]]
-        for p in (pu, pw)
-    )
-    apart = on_u.all(axis=1) & ~on_w.any(axis=1)
-    apart |= on_w.all(axis=1) & ~on_u.any(axis=1)
-    mask = 0
-    for k in np.flatnonzero(apart).tolist():
-        wall = dc.walls[k]
-        if not any(_wall_meets_cell(wall, p.cell) for p in (pu, pw)):
-            mask |= 1 << k
-    ends = tuple(dc.vertex_index[min(p.carrier)] for p in (pu, pw))
-    wall_family = tuple(sorted(dc.system._chain_in_pair(mask, ends)[1]))
+    apart = inside_u & ~touches_w | inside_w & ~touches_u
+    mask = apart & ~meets_u & ~meets_w
+    wall_family = tuple(sorted(dc.system._chain_in_pair(mask, (end_u, end_w))[1]))
     return TransferReport(
         u, w, pu, pw, len(dual_family), len(wall_family), dual_family, wall_family
     )

@@ -138,6 +138,16 @@ def pairwise_disjoint_family(transverse, candidates: list[int], size: int):
     return None
 
 
+def order_chain_numpy(sides, members, rep: tuple[int, int]) -> tuple[int, ...]:
+    """Halfspace order of `members` toward vertex rep[0]: each wall keyed by
+    the size of its side holding rep[0], by numpy's stable argsort."""
+    s = np.asarray(sides, dtype=bool)
+    count = s.sum(axis=1)
+    members = np.array(members, dtype=np.intp)
+    toward = np.where(s[members, rep[0]], count[members], s.shape[1] - count[members])
+    return tuple(int(j) for j in members[np.argsort(toward, kind="stable")])
+
+
 def wall_pairs_brute(sides) -> list[tuple[int, tuple[int, int]]]:
     """Distinct separation masks of a halfspace table, pair by pair: each
     mask with its first pair (x, y), x < y, in row order; zero masks skipped."""

@@ -14,6 +14,7 @@ from fixtures import (
     c6_with_chord,
     cycle_graph,
     grid_graph,
+    hex_chain_complex,
     hypercube,
     k23,
     lshape,
@@ -27,6 +28,8 @@ from fixtures import (
 from cubekit import median
 from cubekit.errors import ConsistencyError, GraphInputError, NotMedianError, SizeCapError
 from cubekit.median import L1, LINF, MedianGraph, MedianVerdict, ram_bound
+from cubekit.polygonal import dual_cube_complex
+from cubekit.racg import DefiningGraph, ball_walls
 
 FIX = named_fixtures()
 
@@ -340,6 +343,42 @@ def test_wall_pairs_stop_early_without_caching():
     assert ws._pairs is None
     assert head == ws.pairs[:10]
     assert list(ws.iter_pairs()) == ws.pairs
+
+
+def _chain_oracle_systems():
+    """Wall systems of generated median graphs, a Coxeter ball and a
+    polygonal dual (its walls and its dual's hyperplanes)."""
+    rng = random.Random(14)
+    graphs = [grid_graph(3, 4), hypercube(3), staircase(3)]
+    graphs += [product_graph(random_tree(rng.randint(3, 6), rng), random_tree(4, rng)) for _ in range(3)]
+    out = [g.wall_system for g in graphs]
+    c5 = DefiningGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+    out.append(ball_walls(c5, 2).system)
+    dc = dual_cube_complex(hex_chain_complex(3))
+    out += [dc.system, dc.graph.wall_system]
+    return out
+
+
+def test_chain_dp_and_order_match_oracles():
+    """On sampled vertex pairs and random submasks of their separating walls,
+    the chain DP is a largest pairwise disjoint family, and order_chain
+    equals the stable numpy ordering, ties and all."""
+    rng = random.Random(7)
+    for ws in _chain_oracle_systems():
+        pairs = list(itertools.permutations(range(ws.nv), 2))
+        for x, y in rng.sample(pairs, min(40, len(pairs))):
+            seps = [j for j in range(ws.h) if ws.sides[j, x] != ws.sides[j, y]]
+            for keep in (seps, [j for j in seps if rng.random() < 0.5]):
+                keep = keep[:14]
+                ln, chain = ws._chain_in_pair(sum(1 << j for j in keep), (x, y))
+                assert ln == len(chain) and set(chain) <= set(keep)
+                assert bf.pairwise_disjoint_family(ws.transverse, list(chain), ln) is not None
+                assert bf.pairwise_disjoint_family(ws.transverse, keep, ln + 1) is None
+                assert bf.pairwise_disjoint_family(ws.transverse, keep, ln) is not None or ln == 0
+                assert chain == bf.order_chain_numpy(ws.sides, chain, (x, y))
+            members = rng.sample(range(ws.h), min(ws.h, rng.randint(0, 8)))
+            for rep in ((x, y), (y, x)):
+                assert ws.order_chain(members, rep) == bf.order_chain_numpy(ws.sides, members, rep)
 
 
 def test_halfspaces_are_convex():

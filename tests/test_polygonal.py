@@ -18,6 +18,7 @@ from cubekit.errors import (
     SizeCapError,
     ValidationError,
 )
+from cubekit import polygonal
 from cubekit.formats import parse_polygons
 from cubekit.polygonal import (
     CELL_CUBE,
@@ -27,6 +28,7 @@ from cubekit.polygonal import (
     SEGMENT_MIDPOINT,
     SINGLE_VERTEX_NOTE,
     VERTEX_POINT,
+    ClassificationReport,
     PolygonalComplex,
     _arcs_on,
     _min_circular_cover,
@@ -702,6 +704,55 @@ class TestSeparationTransfer:
             assert all(g.sides[j, iu] != g.sides[j, iw] for j in fam), (u, w)
             for a, b in itertools.combinations(fam, 2):
                 assert not g.transverse[a, b], (u, w)
+
+    def test_dual_disjoint_is_the_linf_distance(self):
+        # the longest chain of disjoint separating hyperplanes is the
+        # distance in the cube cone-off, found there by BFS
+        for name, x in sc_fixtures().items():
+            dc = dual_cube_complex(x)
+            for u, w in itertools.combinations(dc.graph.ids, 2):
+                tr = separation_transfer(x, dc, u, w)
+                assert tr.dual_disjoint == dc.graph.distance(u, w, "linf"), (name, u, w)
+
+    def test_each_vertex_projected_and_cubes_classified_once(self, monkeypatch):
+        projected, classified = [], []
+        real_project = polygonal.dual_projection
+        real_classify = polygonal.classify_maximal_cubes
+
+        def project(x, dc, v, report=None):
+            projected.append(v)
+            return real_project(x, dc, v, report)
+
+        def classify(dc):
+            classified.append(dc)
+            return real_classify(dc)
+
+        monkeypatch.setattr(polygonal, "dual_projection", project)
+        monkeypatch.setattr(polygonal, "classify_maximal_cubes", classify)
+        x = hex_chain_complex(3)
+        dc = dual_cube_complex(x)
+        pairs = list(itertools.permutations(dc.graph.ids, 2))
+        bare = [separation_transfer(x, dc, u, w) for u, w in pairs]
+        assert classified == [dc]
+        assert sorted(projected) == sorted(dc.graph.ids)
+        # another report is another set of points, again made once each
+        projected.clear()
+        rep = real_classify(dc)
+        given = [separation_transfer(x, dc, u, w, rep) for u, w in pairs]
+        assert sorted(projected) == sorted(dc.graph.ids)
+        assert given == bare
+        # bare projections share the dual's one classification too
+        for v in dc.graph.ids:
+            real_project(x, dc, v)
+        assert classified == [dc]
+
+    def test_cached_points_never_serve_another_report(self):
+        x = hex_chain_complex(3)
+        dc = dual_cube_complex(x)
+        u, w = dc.graph.ids[:2]
+        separation_transfer(x, dc, u, w, classify_maximal_cubes(dc))
+        with pytest.raises(ConsistencyError, match="no maximal cube"):
+            separation_transfer(x, dc, u, w, ClassificationReport(True, (), ()))
 
     def test_holds_on_sampled_pairs(self):
         for name, x in sc_fixtures().items():
