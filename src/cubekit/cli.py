@@ -245,13 +245,9 @@ def _cmd_median_hyperplanes(args):
 
 def _cmd_median_cubes(args):
     g, digest = _load_median(args.file)
-    cubes = g.cubes()
-    by_dim: dict[int, int] = {}
-    for c in cubes:
-        by_dim[c.dimension] = by_dim.get(c.dimension, 0) + 1
-    maximal = [c for c in cubes if c.maximal]
+    maximal = g.maximal_cubes()
     return [digest], {}, [
-        _result("cube_count_by_dimension", {str(k): v for k, v in sorted(by_dim.items())}),
+        _result("cube_count_by_dimension", {str(k): v for k, v in g.cube_counts().items()}),
         _result("maximal_cube_count", len(maximal)),
         _result(
             "maximal_cubes",

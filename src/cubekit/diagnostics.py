@@ -144,7 +144,12 @@ def _chain_search(ws: WallSystem, visit, cap: int, need: int = 1) -> tuple[int, 
         return True
 
     full = (1 << ws.h) - 1
-    exact = dfs((), 0, ws.pairs, full, full, -1) if ws.pairs else True
+    try:
+        exact = dfs((), 0, ws.pairs, full, full, -1) if ws.pairs else True
+    finally:
+        # dfs refers to itself, a cycle that would keep ws alive until the
+        # cycle collector runs
+        del dfs
     return nodes, exact
 
 

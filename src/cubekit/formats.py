@@ -451,4 +451,7 @@ def evaluate_relator(expr: tuple, n_value: int | None) -> list[tuple[str, int]]:
     def invert(word: list[tuple[str, int]]) -> list[tuple[str, int]]:
         return [(g, -p) for g, p in reversed(word)]
 
-    return eval_seq(expr)
+    try:
+        return eval_seq(expr)
+    finally:
+        del eval_seq, eval_atom  # mutually recursive closures form a cycle

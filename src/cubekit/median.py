@@ -435,8 +435,29 @@ class MedianGraph:
         quadrangle condition and contains no K_{2,3} (Bandelt & Chepoi,
         *Metric graph theory and geometry: a survey*, 2008).  A failed
         condition is reported as a vertex triple with zero or several
-        medians.  O(n * sum deg^2) time and O(n^2) memory; refuses
-        disconnected input.
+        medians.  Refuses disconnected input.
+
+        The quadrangle condition is counted, not scanned.  Relative to a
+        root u, let k_ux be the number of neighbours of x one step nearer u;
+        a *down pair* at x is two of them.  The condition asks every down
+        pair (v, w) at x for a common neighbour of v and w nearer u still.
+        In a connected, bipartite, K_{2,3}-free graph a down pair lies on at
+        most one 4-cycle, and each 4-cycle has, relative to u, one of two
+        shapes: one corner has both of its cycle neighbours nearer u and the
+        opposite corner is nearer still (one down pair, which passes), or
+        two opposite corners have both cycle neighbours nearer u (two down
+        pairs, and both fail).  A down pair on no 4-cycle fails too.  So
+
+            sum_x C(k_ux, 2) = #squares + #flat squares + #twinless pairs,
+
+        and u passes iff the sum equals the number of 4-cycles.  With d(u, .)
+        known, k_ux = ((d(u, x) + 1) deg x - sum_{y ~ x} d(u, y)) / 2, since
+        every neighbour of x is one step nearer or farther.  Only the first
+        failing root is scanned pair by pair, for its witness.
+
+        Cost: the distance table, one sort of the sum deg^2 / 2 paths
+        v - x - w (the 4-cycle count and the K_{2,3} test), and O(n m) for
+        the counts; O(n^2) memory.
         """
         if "median_verdict" in self._cache:
             return self._cache["median_verdict"]
@@ -494,29 +515,50 @@ class MedianGraph:
         if wide.size:
             z, x1, x2 = tail[i[by_pair[wide[0] + np.arange(3)]]]
             return int(z), int(x1), int(x2)
-        # the other common neighbour of each path's pair, or -1; a pair now
-        # has at most two paths, next to each other in key order
+        # quadrangle condition, counted: a pair now has at most two paths, so
+        # each square is two pairs with two paths each; at every root the
+        # down pairs must number exactly the squares (see is_median)
+        squares = np.count_nonzero(same) // 2
+        # the slots, sorted by tail, are the adjacency matrix in CSR form
+        from scipy.sparse import csr_matrix
+
+        deg = deg.astype(np.int32)
+        ones = np.ones(len(head), dtype=np.int32)
+        adj = csr_matrix((ones, head, np.r_[0, np.cumsum(deg)]), shape=(n, n))
+        block = max(1, _BLOCK_CELLS // n)
+        for r0 in range(0, n, block):
+            rows = d[r0 : r0 + block]
+            # k[r, x]: neighbours of x one step nearer root r0 + r; the
+            # others are one step farther, since the graph is bipartite
+            k = (rows + 1) * deg
+            k -= rows @ adj
+            k //= 2
+            down = (k * (k - 1) // 2).sum(axis=1, dtype=np.int64)
+            bad = np.flatnonzero(down != squares)
+            if bad.size:
+                u = r0 + int(bad[0])
+                break
+        else:
+            return None
+        # witness: the first down pair (v, w) at u, by x and then by slots,
+        # with no common neighbour nearer u; only the twin of x can be one,
+        # the other common neighbour of each path's pair (or -1)
         twin = np.full(len(i), -1, dtype=np.int32)
         pairs = by_pair[np.flatnonzero(same)[:, None] + [0, 1]]
         twin[pairs] = tail[i[pairs[:, ::-1]]]
         # the path on slots (a, b) has index path_of[a] + b
         slots = np.arange(len(tail), dtype=np.int32)
         path_of = np.searchsorted(i, slots) - slots - 1
-        # quadrangle condition: two neighbours v, w of x, both one step nearer
-        # to a root u, need a common neighbour nearer still; only the twin of
-        # x can be, else the triple (u, v, w) has no median
-        block = max(1, _BLOCK_CELLS // (len(tail) + len(i)))
-        for r0 in range(0, n, block):
-            rows = d[r0 : r0 + block]
-            root, slot = np.nonzero(rows[:, head] < rows[:, tail])
-            p, q = _pairs_within(root * n + tail[slot])
-            root, a, b = root[p], slot[p], slot[q]
-            other = twin[path_of[a] + b]
-            bad = np.flatnonzero((other < 0) | (rows[root, other] > rows[root, head[a]]))
-            if bad.size:
-                t = bad[0]
-                return r0 + int(root[t]), int(head[a[t]]), int(head[b[t]])
-        return None
+        row = d[u]
+        slot = np.flatnonzero(row[head] < row[tail])
+        p, q = _pairs_within(tail[slot])
+        a, b = slot[p], slot[q]
+        other = twin[path_of[a] + b]
+        bad = np.flatnonzero((other < 0) | (row[other] > row[head[a]]))
+        if not bad.size:
+            raise ConsistencyError("a root fails the square count but has no bad pair")
+        t = bad[0]
+        return u, int(head[a[t]]), int(head[b[t]])
 
     def _median_set(self, x: int, y: int, z: int) -> list[int]:
         d = self.dist
@@ -671,20 +713,58 @@ class MedianGraph:
         crossing each subset of those hyperplanes.
         """
         if "cubes" not in self._cache:
-            self._cache["cubes"], self._cache["maximal_cube_rows"] = self._up_link_cubes()
+            self._cache["cubes"] = self._build_cubes(maximal_only=False)
         return self._cache["cubes"]
 
     def maximal_cubes(self) -> list[Cube]:
-        return [c for c in self.cubes() if c.maximal]
+        """The maximal cubes, in the order of ``cubes()``; without the full
+        inventory cached, only the maximal ones are built."""
+        if "cubes" in self._cache:
+            return [c for c in self._cache["cubes"] if c.maximal]
+        return self._build_cubes(maximal_only=True)
 
-    def _up_link_cubes(self) -> tuple[list[Cube], list[np.ndarray]]:
-        """The cube inventory, and the vertex indices of the maximal cubes as
-        one (count, 2**k) array per dimension k."""
+    def cube_counts(self) -> dict[int, int]:
+        """The number of cubes of each dimension, by rising dimension."""
+        return {k: len(rows[0]) for k, rows in sorted(self._cube_rows().items())}
+
+    def _build_cubes(self, maximal_only: bool) -> list[Cube]:
+        """``Cube`` objects for the rows of ``_cube_rows``, by falling
+        dimension and then by sorted vertex ids."""
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[sorted(range(self.n), key=self.ids.__getitem__)] = np.arange(self.n)
+        names = np.array(self.ids, dtype=object)
+        cubes: list[Cube] = []
+        for k, (verts, hs, maximal) in self._cube_rows().items():
+            if maximal_only:
+                verts, hs, maximal = verts[maximal], hs[maximal], maximal[maximal]
+            order = np.lexsort(np.sort(rank[verts], axis=1).T[::-1])
+            verts, hs, maximal = verts[order], hs[order], maximal[order]
+            col = verts.argmin(axis=1)
+            rows = np.arange(len(verts))
+            first, far = verts[rows, col], verts[rows, col ^ ((1 << k) - 1)]
+            for vs, hp, a, z, mx in zip(
+                names[verts].tolist(), hs.tolist(), names[first].tolist(),
+                names[far].tolist(), maximal.tolist(),
+            ):
+                cubes.append(Cube(k, frozenset(vs), tuple(hp), (a, z), mx))
+        return cubes
+
+    def _cube_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The cube inventory as index arrays, by falling dimension k: the
+        vertex rows (count, 2**k), the hyperplane rows (count, k) and the
+        maximal flags (count,), with the cubes in gate order (see cubes).
+
+        Column ``bits`` of a vertex row is the corner reached from the gate
+        by crossing the hyperplanes hs[bits]; every corner is checked to
+        exist and every cube to have 2**k distinct vertices.
+        """
+        if "cube_rows" in self._cache:
+            return self._cache["cube_rows"]
         self.require_median()
         if not self.edges:
-            only = self.ids[0]
-            point = Cube(0, frozenset({only}), (), (only, only), True)
-            return [point], [np.zeros((1, 1), dtype=np.intp)]
+            point = np.zeros((1, 1), dtype=np.intp)
+            self._cache["cube_rows"] = {0: (point, point[:, :0], np.ones(1, dtype=bool))}
+            return self._cache["cube_rows"]
         n, h = self.n, self.hyperplane_count
         level = self.dist[0]
         trans = self.wall_system._trans_int
@@ -721,17 +801,12 @@ class MedianGraph:
                     maximal.append(not narrowed)
                     if rest:
                         stack.append((grown, narrowed, rest))
-        rank = np.empty(n, dtype=np.intp)
-        rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
-        names = np.array(self.ids, dtype=object)
-        cubes: list[Cube] = []
-        maximal_rows = []
+        out = {}
         for k in sorted(found, reverse=True):
             gates, flat, maximal = found[k]
             hs = np.array(flat, dtype=np.intp).reshape(-1, k)
-            # column `bits` of a row is the corner reached by crossing the
-            # hyperplanes hs[bits]; it is one step on from the corner without
-            # the lowest of them
+            # the corner `bits` is one step on from the corner without the
+            # lowest of its hyperplanes
             verts = np.empty((len(gates), 1 << k), dtype=np.intp)
             verts[:, 0] = gates
             for bits in range(1, 1 << k):
@@ -741,39 +816,29 @@ class MedianGraph:
                 if (key[pos] != want).any():
                     raise ConsistencyError("a cube corner is missing")
                 verts[:, bits] = across[pos]
-            ranked = np.sort(rank[verts], axis=1)
-            if (ranked[:, 1:] == ranked[:, :-1]).any():
+            srt = np.sort(verts, axis=1)
+            if (srt[:, 1:] == srt[:, :-1]).any():
                 raise ConsistencyError("a cube has the wrong vertex count")
-            order = np.lexsort(ranked.T[::-1])
-            verts, hs, maximal = verts[order], hs[order], np.array(maximal)[order]
-            col = verts.argmin(axis=1)
-            rows = np.arange(len(verts))
-            first, far = verts[rows, col], verts[rows, col ^ ((1 << k) - 1)]
-            for vs, hp, a, z, mx in zip(
-                names[verts].tolist(), hs.tolist(), names[first].tolist(),
-                names[far].tolist(), maximal.tolist(),
-            ):
-                cubes.append(Cube(k, frozenset(vs), tuple(hp), (a, z), mx))
-            maximal_rows.append(verts[maximal])
-        return cubes, maximal_rows
+            out[k] = (verts, hs, np.array(maximal))
+        self._cache["cube_rows"] = out
+        return out
 
     def _hyperplane_dimensions(self) -> list[int]:
-        dims = [1] * self.hyperplane_count
-        for cube in self.cubes():
-            for j in cube.hyperplanes:
-                dims[j] = max(dims[j], cube.dimension)
-        return dims
+        dims = np.ones(self.hyperplane_count, dtype=np.intp)
+        for k, (_, hs, _) in self._cube_rows().items():
+            np.maximum.at(dims, hs.ravel(), k)
+        return dims.tolist()
 
     # -- distances ------------------------------------------------------------
 
     def linf_adjacency(self) -> np.ndarray:
         """Boolean adjacency of the cube cone-off: u ~ v iff a common cube."""
         if "linf_adj" not in self._cache:
-            self.cubes()
             adj = np.zeros((self.n, self.n), dtype=bool)
             # every maximal cube of a dimension at once: row r sets the block
             # of its vertices, as adj[np.ix_(row, row)] would
-            for rows in self._cache["maximal_cube_rows"]:
+            for verts, _, maximal in self._cube_rows().values():
+                rows = verts[maximal]
                 adj[rows[:, :, None], rows[:, None, :]] = True
             np.fill_diagonal(adj, False)
             self._cache["linf_adj"] = adj

@@ -360,12 +360,15 @@ def _short_cycle(adj, bound):
                 return got
         return None
 
-    for length in range(3, bound):
-        for root in nodes:
-            got = extend((root,), {root}, length)
-            if got:
-                return got
-    return None
+    try:
+        for length in range(3, bound):
+            for root in nodes:
+                got = extend((root,), {root}, length)
+                if got:
+                    return got
+        return None
+    finally:
+        del extend  # a self-referring closure is a reference cycle
 
 
 def _link_verdict(x, n):

@@ -262,22 +262,17 @@ def expand_family(pf: PresentationFile, values=None):
     return FreeProductPresentation(factors, tuple(dict.fromkeys(rels2)))
 
 
-def _uses_param(expr) -> bool:
-    def seq_uses(seq):
-        return any(item_uses(it) for it in seq)
-
-    def item_uses(item):
-        atom, (coef, _) = item
+def _uses_param(seq) -> bool:
+    """Whether a power anywhere in an expression sequence uses the parameter."""
+    for atom, (coef, _) in seq:
         if coef != 0:
             return True
         cls = type(atom).__name__
-        if cls == "GroupAtom":
-            return seq_uses(atom.body)
-        if cls == "CommutatorAtom":
-            return seq_uses(atom.left) or seq_uses(atom.right)
-        return False
-
-    return seq_uses(expr)
+        if cls == "GroupAtom" and _uses_param(atom.body):
+            return True
+        if cls == "CommutatorAtom" and (_uses_param(atom.left) or _uses_param(atom.right)):
+            return True
+    return False
 
 
 def presentation_from_text(text: str, values=None):

@@ -81,6 +81,46 @@ def is_median_brute(g) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def median_failure_pairs_brute(g) -> tuple[int, int, int] | None:
+    """The local median test of Bandelt & Chepoi, scanned pair by pair: the
+    first vertex triple (as indices) that a failed condition leaves with zero
+    or several medians, or None.  The order matches MedianGraph.is_median.
+
+    An edge (a, b) level with vertex 0 gives (0, a, b).  A pair v < w with
+    three common neighbours gives its first three (z, x1, x2), the pair
+    chosen by smallest v * n + w among paths v - x - w whose middle vertex x
+    is at most the first where more than n (n - 1) paths have been counted
+    (a pair has at most two common neighbours otherwise).  Then, for each
+    root u, vertex x and neighbours v < w of x one step nearer u, the pair
+    needs a common neighbour other than x nearer u still, else (u, v, w).
+    """
+    n, d = g.n, g.dist
+    for a, b in g.edges:
+        if d[0, a] == d[0, b]:
+            return 0, a, b
+    nbrs = [sorted(g.adj[x]) for x in range(n)]
+    common: dict[tuple[int, int], list[int]] = {}
+    paths = 0
+    for x in range(n):
+        for v, w in itertools.combinations(nbrs[x], 2):
+            common.setdefault((v, w), []).append(x)
+            paths += 1
+        if paths > n * (n - 1):
+            break
+    for pair in sorted(common):
+        if len(common[pair]) >= 3:
+            z, x1, x2 = common[pair][:3]
+            return z, x1, x2
+    for u in range(n):
+        for x in range(n):
+            down = [v for v in nbrs[x] if d[u, v] < d[u, x]]
+            for v, w in itertools.combinations(down, 2):
+                twins = [t for t in common[(v, w)] if t != x]
+                if not twins or d[u, twins[0]] > d[u, v]:
+                    return u, v, w
+    return None
+
+
 def four_point_delta(dist: dict[str, dict[str, int]]):
     """Exact four-point hyperbolicity constant, as a multiple of 1/2."""
     names = list(dist)

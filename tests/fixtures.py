@@ -6,6 +6,7 @@ vertices are binary strings, product vertices join the factor ids with "|".
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -81,6 +82,18 @@ def product_graph(g1: MedianGraph, g2: MedianGraph) -> MedianGraph:
         for b in g2.ids:
             es.append((f"{g1.ids[u]}|{b}", f"{g1.ids[v]}|{b}"))
     return MedianGraph(vs, es)
+
+
+def cyclic_garbage(call) -> int:
+    """How many unreachable objects in reference cycles `call()` leaves for
+    the cycle collector (which is off while it runs)."""
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def lshape() -> tuple[MedianGraph, list[str]]:

@@ -11,8 +11,9 @@ import pytest
 
 from cubekit import cli, diagnostics, median, polygonal
 from cubekit.errors import ConsistencyError
-from cubekit.formats import parse_graph
+from cubekit.formats import parse_graph, serialize_graph
 from cubekit.median import MedianGraph
+from fixtures import grid_graph
 
 SQUARE = """\
 vertex a
@@ -418,6 +419,34 @@ class TestMedianCommands:
         results = {r["quantity"]: r for r in rep["results"]}
         assert results["maximal_cube_count"]["value"] == 1
         assert results["cube_count_by_dimension"]["value"] == {"1": 4, "2": 1}
+
+    @pytest.mark.parametrize(
+        "argv,built_any",
+        [
+            (["median", "hyperplanes", "GRID"], False),
+            (["median", "dist", "GRID", "0,0", "3,2", "--metric", "linf"], False),
+            (["median", "cubes", "GRID"], True),
+            (["poly", "classify", "HEX"], True),
+        ],
+        ids=["hyperplanes", "dist_linf", "cubes", "poly_classify"],
+    )
+    def test_only_maximal_cubes_are_built(self, argv, built_any, files, capsys, monkeypatch):
+        # cube counts, hyperplane dimensions and the linf cone-off read the
+        # cube rows; a Cube object is made only for a maximal cube listed
+        built = []
+
+        class Spy(median.Cube):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.maximal)
+
+        monkeypatch.setattr(median, "Cube", Spy)
+        grid = grid_graph(3, 2)
+        text = serialize_graph(grid.ids, [(grid.ids[a], grid.ids[b]) for a, b in grid.edges])
+        paths = {"GRID": files("g", text), "HEX": files("h", HEX_POLY)}
+        code, _ = run_json(capsys, [paths.get(a, a) for a in argv])
+        assert code == 0
+        assert all(built) and bool(built) == built_any
 
     def test_dist_metrics(self, files, capsys):
         path = files("g", SQUARE)

@@ -1,7 +1,9 @@
 """Grids, rectangles, delta, bigons, cone-offs, contracting hyperplanes."""
 
+import gc
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +227,22 @@ def test_contracting_past_the_node_cap_is_a_lower_bound(monkeypatch):
     assert found and unfound
     assert all(not v.contracting and v.method == EXACT for v in found)
     assert all(v.contracting and v.method == LOWER_BOUND for v in unfound)
+
+
+def test_chain_search_frees_its_wall_system():
+    # the recursive search must leave no reference cycle holding the wall
+    # system, whose pairs and chain memos would then wait for a full collection
+    g = fx.grid_graph(4, 3)
+    ws = weakref.ref(g.wall_system)
+    assert fx.cyclic_garbage(lambda: (max_grid(g), walls_in_grids(g.wall_system, 2))) == 0
+    gc.disable()
+    try:
+        max_grid(g)
+        walls_in_grids(g.wall_system, 3)
+        del g
+        assert ws() is None
+    finally:
+        gc.enable()
 
 
 def test_wall_side_classification():

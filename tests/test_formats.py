@@ -15,6 +15,7 @@ from cubekit.formats import (
     serialize_graph,
 )
 from cubekit.median import MedianGraph
+from fixtures import cyclic_garbage
 
 GRAPH_TEXT = """
 # a unit square
@@ -112,6 +113,11 @@ relator (a^n b^n)^k  # not valid: n is undeclared
     expr = parse_relator_expression(pres.relator_texts[0], pres.param)
     word = evaluate_relator(expr, 2)
     assert word == [("a", 1)] * 2 + [("b", 1)] * 2 + [("a", 1)] * 2 + [("b", 1)] * 2
+
+
+def test_relator_evaluation_leaves_no_cycles():
+    expr = parse_relator_expression("(a b^-1)^n [a, (b a)^2]", "n")
+    assert cyclic_garbage(lambda: evaluate_relator(expr, 3)) == 0
 
 
 def test_presentation_rejects_undeclared_parameter():

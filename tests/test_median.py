@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,87 @@ def test_local_recognition_matches_triple_oracle():
     # both verdicts are well represented and every rule rejects something
     assert 40 <= rejected <= len(cases) - 40
     assert rules == {"bipartite", "quadrangle", "k23"}
+
+
+def _oracle_graphs(count: int, seed: int) -> list[MedianGraph]:
+    """Connected graphs with at most 40 vertices: random ones (a random
+    spanning tree plus random extra edges) alternating with products of one
+    to three random trees, each with one edge removed or one chord added;
+    vertices listed in random order."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            n = rng.randint(1, 40)
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            for _ in range(rng.randint(0, n)):
+                a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+                if a != b:
+                    edges.add((a, b))
+            ids = [str(v) for v in range(n)]
+            edges = [(ids[a], ids[b]) for a, b in edges]
+        else:
+            p = random_tree(rng.randint(2, 8), rng)
+            for _ in range(rng.randint(0, 2)):
+                p = product_graph(p, random_tree(rng.randint(2, 4), rng))
+            if p.n > 40:
+                continue
+            ids = p.ids
+            edges = [(ids[a], ids[b]) for a, b in p.edges]
+            if rng.random() < 0.5:
+                edges.pop(rng.randrange(len(edges)))
+            else:
+                far = [(a, b) for a, b in itertools.combinations(range(p.n), 2) if p.dist[a, b] >= 2]
+                if not far:
+                    continue
+                a, b = rng.choice(far)
+                edges.append((ids[a], ids[b]))
+        g = MedianGraph(rng.sample(ids, len(ids)), edges)
+        if g.is_connected:
+            out.append(g)
+    return out
+
+
+def test_square_count_matches_the_pair_scan():
+    # the same first triple as the per-root pair scan; every local rule
+    # rejects at least 100 of the graphs and at least 100 are median
+    rules = {"accept": 0, "bipartite": 0, "quadrangle": 0, "k23": 0}
+    for g in _oracle_graphs(2000, 2033):
+        triple = g._median_failure()
+        assert triple == bf.median_failure_pairs_brute(g), (g.ids, g.edges)
+        if triple is None:
+            rules["accept"] += 1
+        else:
+            shapes = [r for r in ("bipartite", "quadrangle", "k23") if _witness_shape(g, r)]
+            rules[shapes[0]] += 1
+    assert min(rules.values()) >= 100, rules
+
+
+@pytest.mark.parametrize("name", sorted(FIX))
+def test_down_pairs_number_the_squares_at_every_root(name):
+    # sum_x C(k_ux, 2) = #4-cycles at every root u of a median graph, with
+    # k_ux the neighbours of x nearer u and the 4-cycles counted by diagonals
+    g = FIX[name]
+    d = g.dist
+    common = [len(g.adj[v] & g.adj[w]) for v, w in itertools.combinations(range(g.n), 2)]
+    squares = sum(c * (c - 1) // 2 for c in common) // 2
+    for u in range(g.n):
+        ks = [sum(d[u, y] < d[u, x] for y in g.adj[x]) for x in range(g.n)]
+        assert sum(k * (k - 1) // 2 for k in ks) == squares, (name, u)
+
+
+def test_recognition_peak_memory_on_a_grid():
+    # 17 x 17 vertices, distance table (0.3 MiB) built: the counted
+    # quadrangle test keeps its scratch within a few such tables
+    g = grid_graph(16, 16)
+    g.dist
+    tracemalloc.start()
+    try:
+        assert g.is_median().ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak
 
 
 def test_size_cap_refuses_recognition(monkeypatch):
@@ -467,6 +549,26 @@ def test_cubes_match_interval_oracle():
                 joined[np.ix_(idx, idx)] = True
         np.fill_diagonal(joined, False)
         assert (g.linf_adjacency() == joined).all(), g
+
+
+def test_cube_counts_dimensions_and_maximal_cubes_match_the_inventory():
+    # read from the cube rows on a fresh copy, before and after its Cube
+    # objects exist, and compared with the full inventory
+    for g in list(FIX.values()) + _seeded_products(60, 2035):
+        cubes = g.cubes()
+        fresh = MedianGraph(g.ids, [(g.ids[a], g.ids[b]) for a, b in g.edges])
+        counts: dict[int, int] = {}
+        dims = [1] * g.hyperplane_count
+        for c in cubes:
+            counts[c.dimension] = counts.get(c.dimension, 0) + 1
+            for j in c.hyperplanes:
+                dims[j] = max(dims[j], c.dimension)
+        assert list(fresh.cube_counts().items()) == sorted(counts.items()), g
+        assert [h.dimension for h in fresh.hyperplanes()] == dims, g
+        maximal = [c for c in cubes if c.maximal]
+        assert fresh.maximal_cubes() == maximal, g
+        assert "cubes" not in fresh._cache
+        assert fresh.cubes() == cubes and fresh.maximal_cubes() == maximal, g
 
 
 def test_star_times_path_cubes_at_scale():

@@ -41,6 +41,7 @@ from cubekit.polygonal import (
     walls,
 )
 from fixtures import (
+    cyclic_garbage,
     corner_squares_complex,
     covered_square_complex,
     hex_chain_complex,
@@ -854,3 +855,8 @@ class TestInvariants:
         assert [t for t in classify_maximal_cubes(a).tags] == [
             t for t in classify_maximal_cubes(b).tags
         ]
+
+
+def test_link_check_leaves_no_cycles():
+    # the link condition's short-cycle search is recursive
+    assert cyclic_garbage(lambda: polygonal_sc_check(hex_chain_complex(3), Fraction(1, 6))) == 0

@@ -32,8 +32,10 @@ from cubekit.smallcancel import (
     _inv_free,
     _inv_product,
     _rotate_product,
+    _uses_param,
 )
-from cubekit.formats import parse_presentation_file
+from fixtures import cyclic_garbage
+from cubekit.formats import parse_presentation_file, parse_relator_expression
 
 
 def fixture_g(k, values="1,2"):
@@ -571,3 +573,13 @@ class TestVerdictShape:
         )
         v = check_small_cancellation(p, QUARTER)
         assert v.cprime.passed == (not fails)
+
+
+@pytest.mark.parametrize(
+    "text,uses",
+    [("(a b)^3 [a, (b a^n)^2]", True), ("(a b)^3 [a, (b a)^2]", False), ("a^n", True)],
+)
+def test_parameter_use_is_found_without_cycles(text, uses):
+    expr = parse_relator_expression(text, "n")
+    assert _uses_param(expr) is uses
+    assert cyclic_garbage(lambda: _uses_param(expr)) == 0
