@@ -9,7 +9,11 @@ One chain search grows chains of hyperplanes for both grid questions.
 `grid_search` reads Pareto sizes off it; `walls_in_grids` marks, in one
 pass, every hyperplane of an (n,n)-grid, using that a hyperplane lies in
 one iff it lies in an n-chain crossed by some n-chain, and `contracting`
-decides every hyperplane from that one pass.
+decides every hyperplane from that one pass.  Chains come from the
+halfspace inclusion order (see `WallSystem`): walls that do not cross nest,
+side c of k lying in side a of j iff it misses side 1 - a of j, by the
+empty quadrant of median hyperplanes, the exact Tits crossing table of
+Coxeter ball walls and Wise's rule for polygonal walls.
 
 The four-point constant scans only far-apart pairs (Cohen, Coudert &
 Lancin, ACM JEA 20, 2015), by decreasing distance, and stops once the
@@ -100,52 +104,52 @@ def verify_grid(ws: WallSystem, grid: Grid) -> None:
 def _chain_search(ws: WallSystem, visit, cap: int, need: int = 1) -> tuple[int, bool]:
     """Depth-first search over the chains of ws: (nodes, exact).
 
-    Chains are nested subsets of separation masks, grown from the empty
-    chain by walls of increasing index, so each chain is met once.  A chain
-    whose crossing walls (those transverse to all its members) hold no
-    chain of `need` walls is cut, since its extensions are crossed by fewer.
-    At every other nonempty chain ``visit(chain, rep, cross, ext)`` gets the
-    chain, a vertex pair separated by all of it, the longest chain crossing
-    it and the mask of walls that may extend it, and returns whether to
+    Chains grow from the empty chain by walls of increasing index, so each
+    is met once.  The first wall picks its side 0 and each later one its
+    halfspace comparable with all picks.  Walls that do not cross nest
+    (side c of k lies in side a of j iff it misses side 1 - a of j), by the
+    empty quadrant of median hyperplanes, the Tits crossing table of ball
+    walls and Wise's rule for polygonal walls (see `WallSystem`).  The
+    search carries the AND of the picks' comparable rows: a wall may extend
+    the chain iff it has a halfspace there and lies above the last index.
+    A chain whose crossing walls (those transverse to all its members) hold
+    no chain of `need` walls is cut, since its extensions are crossed by
+    fewer.  At every other nonempty chain ``visit(chain, rep, cross, ext)``
+    gets the chain, the pair it separates, the longest chain crossing it
+    and the mask of walls that may extend it, and returns whether to
     descend.  The search stops at `cap` nodes and is then not exact.
     """
     nodes = 0
+    h, full = ws.h, (1 << ws.h) - 1
+    comparable = ws._nesting()[1]
+    crossing: dict[int, tuple] = {}
 
-    def dfs(chain, chain_mask, pairs, tmask, dmask, last):
+    def dfs(picks, common, tmask, last):
         nonlocal nodes
         if nodes >= cap:
             return False
         nodes += 1
-        if chain:
-            qlen, cross, _ = ws.longest_chain(tmask)
+        if picks:
+            if tmask not in crossing:
+                crossing[tmask] = ws.longest_chain(tmask)
+            qlen, cross, _ = crossing[tmask]
             if qlen < need:
                 return True
-        ext = 0
-        for m, _ in pairs:
-            ext |= m
-        ext &= dmask & ~chain_mask & -(1 << (last + 1))
-        if chain and not visit(chain, pairs[0][1], cross, ext):
+        ext = (common | common >> h) & full & -(1 << (last + 1))
+        if picks and not visit(tuple(H % h for H in picks), ws._pair_of(picks), cross, ext):
             return True
         rest = ext
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
             rest ^= low
-            sub_pairs = [(m, r) for m, r in pairs if (m >> j) & 1]
-            if not dfs(
-                chain + (j,),
-                chain_mask | low,
-                sub_pairs,
-                tmask & ws._trans_int[j],
-                dmask & ws._disjoint_int[j],
-                j,
-            ):
+            pick = j if common >> j & 1 else j + h
+            if not dfs(picks + (pick,), common & comparable[pick], tmask & ws._trans_int[j], j):
                 return False
         return True
 
-    full = (1 << ws.h) - 1
     try:
-        exact = dfs((), 0, ws.pairs, full, full, -1) if ws.pairs else True
+        exact = dfs((), (1 << 2 * h) - 1, full, -1) if h else True
     finally:
         # dfs refers to itself, a cycle that would keep ws alive until the
         # cycle collector runs

@@ -168,19 +168,21 @@ def _row_bits(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
-def side_meets(sides: np.ndarray) -> np.ndarray:
-    """Boolean (2, 2, H, H) table: [a, b, j, k] says side a of wall j meets
-    side b of wall k, where side 0 of a wall is the True entries of its row
-    of the walls x vertices table ``sides`` and side 1 the rest."""
+def side_meets(rows: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Boolean (2, 2, R, H) table: [a, b, j, k] says side a of row j meets
+    side b of wall k.  ``rows`` and ``sides`` are walls x vertices tables on
+    one vertex set (``rows`` may be a block of ``sides``); side 0 of a wall
+    is the True entries of its row and side 1 the rest."""
     # one float32 product (exact: every count is at most n < 2**24);
     # the other three quadrant counts follow from side sizes
+    r = np.asarray(rows, dtype=np.float32)
     s = np.asarray(sides, dtype=np.float32)
-    size, both = s.sum(axis=1), s @ s.T
+    rsize, size, both = r.sum(axis=1), s.sum(axis=1), r @ s.T
     meets = np.empty((2, 2, *both.shape), dtype=bool)
     np.greater(both, 0, out=meets[0, 0])
-    np.less(both, size[:, None], out=meets[0, 1])
+    np.less(both, rsize[:, None], out=meets[0, 1])
     np.less(both, size[None, :], out=meets[1, 0])
-    np.greater(both - size[:, None], size[None, :] - s.shape[1], out=meets[1, 1])
+    np.greater(both - rsize[:, None], size[None, :] - s.shape[1], out=meets[1, 1])
     return meets
 
 
@@ -189,8 +191,20 @@ class WallSystem:
 
     This is the combinatorial core shared by hyperplanes of median graphs,
     walls of Coxeter balls and walls of polygonal complexes.  A *chain* is a
-    family of pairwise disjoint walls all separating one vertex pair; such a
-    family is linearly ordered by halfspace inclusion.
+    family of pairwise disjoint walls all separating one vertex pair.
+
+    Chains are read off the halfspace inclusion order (Sageev's pocset,
+    Proc. LMS 71, 1995).  Halfspace H < h is side 0 of wall H and H + h its
+    side 1; every side is nonempty and distinct walls have distinct sides.
+    Walls that do not cross nest: side c of k lies in side a of j iff it
+    misses side 1 - a of j (one entry of ``side_meets``).  That is the empty
+    quadrant of two median hyperplanes, the exact Tits crossing table of
+    Coxeter ball walls (the ball holds a geodesic from the identity to each
+    vertex), and Wise's nesting of polygonal walls that share no polygon
+    ("Cubulating small cancellation groups", GAFA 14, 2004).  So a family
+    is a chain iff one halfspace of each can be picked with the picks
+    pairwise comparable; it separates the lowest vertex of its innermost
+    pick from the lowest vertex outside its outermost one.
     """
 
     def __init__(self, sides: np.ndarray, transverse: np.ndarray):
@@ -204,38 +218,20 @@ class WallSystem:
             raise GraphInputError("transversality table has the wrong shape")
         self._side_count: list[int] = self.sides.sum(axis=1).tolist()
         self._columns: list[int] | None = None
-        self._trans_int: list[int] = []
-        for j in range(self.h):
-            m = 0
-            for k in np.flatnonzero(self.transverse[j]):
-                m |= 1 << int(k)
-            self._trans_int.append(m)
-        full = (1 << self.h) - 1
-        self._disjoint_int = [
-            full & ~self._trans_int[j] & ~(1 << j) for j in range(self.h)
-        ]
-        self._pairs: list[tuple[int, tuple[int, int]]] | None = None
-        self._chain_memo: dict[int, tuple[int, tuple[int, ...], tuple | None]] = {}
-        self._pair_chain_memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
-
-    @property
-    def pairs(self) -> list[tuple[int, tuple[int, int]]]:
-        """Distinct separation masks, one representative vertex pair each."""
-        if self._pairs is None:
-            self._pairs = list(self.iter_pairs())
-        return self._pairs
+        self._trans_int = _row_bits(self.transverse)
+        self._disjoint_int = _row_bits(~self.transverse & ~np.eye(self.h, dtype=bool))
+        # halfspace sizes and lowest vertices, and their order once asked for
+        self._size = self._side_count + [self.nv - c for c in self._side_count]
+        self._lowest = np.r_[self.sides.argmax(axis=1), (~self.sides).argmax(axis=1)].tolist()
+        self._order: tuple[list[int], list[int]] | None = None
 
     def iter_pairs(self) -> Iterator[tuple[int, tuple[int, int]]]:
         """The distinct separation masks, each with the first pair (x, y),
         x < y, in row order that has it; zero masks are skipped.
 
         Pairs are deduplicated with numpy in blocks of rows, so a caller that
-        stops early pays only for the blocks it read.  A full pass caches the
-        list as ``pairs``.
+        stops early pays only for the blocks it read.
         """
-        if self._pairs is not None:
-            yield from self._pairs
-            return
         nv = self.nv
         # each vertex's halfspace column packed into 64-bit words, bit j of
         # the little-endian integer being wall j; a pair's key is the XOR
@@ -246,7 +242,6 @@ class WallSystem:
         words = packed.view(np.uint64)
         void = np.dtype((np.void, step))
         block = max(1, _BLOCK_CELLS // (nv * width))
-        found = []
         seen = set()
         for x0 in range(0, nv - 1, block):
             rows = np.arange(x0, min(nv, x0 + block))
@@ -260,9 +255,7 @@ class WallSystem:
                 m = int.from_bytes(raw[t : t + step], "little")
                 if m and m not in seen:
                     seen.add(m)
-                    found.append((m, (x, y)))
-                    yield found[-1]
-        self._pairs = found
+                    yield m, (x, y)
 
     @property
     def columns(self) -> list[int]:
@@ -272,6 +265,40 @@ class WallSystem:
         if self._columns is None:
             self._columns = _row_bits(self.sides.T)
         return self._columns
+
+    def _nesting(self) -> tuple[list[int], list[int]]:
+        """Int rows over the 2h halfspaces: ``below[H]`` holds those strictly
+        inside H and ``comparable[H]`` those strictly inside or around it,
+        never of H's wall or a wall crossing it.  Built in blocks of walls
+        against all walls, so scratch tables stay near ``_BLOCK_CELLS``."""
+        if self._order is None:
+            h, s, size = self.h, self.sides.astype(np.float32), np.array(self._size)
+            below = [0] * (2 * h)
+            block = max(1, _BLOCK_CELLS // max(h, 1))
+            for j0 in range(0, h, block):
+                js = np.arange(j0, min(h, j0 + block))
+                # [a, c, j, k]: side c of k misses side 1 - a of j, so lies
+                # inside side a of j; as rows (a, j) over halfspaces c h + k
+                inside = ~side_meets(s[js], s)[::-1] & ~self.transverse[js]
+                inside = inside.transpose(0, 2, 1, 3).reshape(2, len(js), 2 * h)
+                # strictly: a halfspace as large as H is H itself
+                inside &= size < size[np.r_[js, js + h]].reshape(2, -1, 1)
+                below[j0 : j0 + len(js)] = _row_bits(inside[0])
+                below[h + j0 : h + j0 + len(js)] = _row_bits(inside[1])
+            # K is strictly around H iff K's complement is strictly inside
+            # H's complement; complementing swaps the two halves of a row
+            low = (1 << h) - 1
+            flip = below[h:] + below[:h]
+            comparable = [b | c >> h | (c & low) << h for b, c in zip(below, flip)]
+            self._order = below, comparable
+        return self._order
+
+    def _pair_of(self, halfspaces) -> tuple[int, int]:
+        """The vertex pair a chain of halfspaces separates (see the class)."""
+        size = self._size.__getitem__
+        inner, outer = min(halfspaces, key=size), max(halfspaces, key=size)
+        # H - h (from the end of the list when negative) is H's complement
+        return self._lowest[inner], self._lowest[outer - self.h]
 
     def order_chain(self, members, rep: tuple[int, int]) -> tuple[int, ...]:
         """Order a chain by halfspace nesting toward the first pair vertex:
@@ -283,61 +310,34 @@ class WallSystem:
         ))
 
     def longest_chain(self, mask: int) -> tuple[int, tuple[int, ...], tuple | None]:
-        """Longest chain inside the wall set `mask` (a bitmask)."""
-        hit = self._chain_memo.get(mask)
-        if hit is not None:
-            return hit
-        best_len, best_members, best_rep = 0, (), None
-        if mask:
-            for m, rep in self.pairs:
-                mm = m & mask
-                if mm.bit_count() <= best_len:
-                    continue
-                ln, members = self._chain_in_pair(mm, rep)
-                if ln > best_len:
-                    best_len, best_members, best_rep = ln, members, rep
-        out = (best_len, best_members, best_rep)
-        self._chain_memo[mask] = out
-        return out
+        """Longest chain inside the wall set `mask` (a bitmask), as (length,
+        members innermost first, the pair they separate).
 
-    def _chain_in_pair(self, mm: int, rep: tuple[int, int]):
-        """Longest pairwise disjoint subfamily of walls all separating rep.
-
-        Two disjoint walls separating the same pair are strictly nested, so
-        sorting by halfspace size makes this a longest-increasing-chain DP.
+        A longest path in the inclusion order of the mask's halfspaces, by
+        levels: level 0 is all of them, level t + 1 those of level t with one
+        of level t strictly inside.  The members are rebuilt from the top
+        level down, each the lowest halfspace of its level inside the last.
+        Inside one pair's separating walls, disjoint means comparable, so
+        there this is the largest disjoint family.
         """
-        hit = self._pair_chain_memo.get((mm, rep))
-        if hit is not None:
-            return hit
-        members = []
-        rest = mm
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        members = self.order_chain(members, rep)
-        k = len(members)
-        disjoint = [self._disjoint_int[j] for j in members]
-        f = [1] * k
-        parent = [-1] * k
-        for i, b in enumerate(members):
-            for t in range(i):
-                if f[t] >= f[i] and disjoint[t] >> b & 1:
-                    f[i] = f[t] + 1
-                    parent[i] = t
-        if k == 0:
-            out = (0, ())
-        else:
-            top = max(range(k), key=lambda i: f[i])
-            chain = []
-            cur = top
-            while cur != -1:
-                chain.append(members[cur])
-                cur = parent[cur]
-            chain.reverse()
-            out = (f[top], tuple(chain))
-        self._pair_chain_memo[(mm, rep)] = out
-        return out
+        if not mask:
+            return 0, (), None
+        below, h = self._nesting()[0], self.h
+        levels = [mask | mask << h]
+        while levels[-1]:
+            last, up, rest = levels[-1], 0, levels[-1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if below[low.bit_length() - 1] & last:
+                    up |= low
+            levels.append(up)
+        levels.pop()
+        chain = [(levels[-1] & -levels[-1]).bit_length() - 1]
+        for level in reversed(levels[:-1]):
+            level &= below[chain[-1]]
+            chain.append((level & -level).bit_length() - 1)
+        return len(chain), tuple(H % h for H in reversed(chain)), self._pair_of(chain)
 
     def wall_side(self, a: int, c: int):
         """The side of wall c on which wall a lies entirely (True for side a
@@ -501,20 +501,21 @@ class MedianGraph:
         if not i.size:
             return None
         key = head[i]
+        del i
         key *= n
         key += head[j]
         del j
-        by_pair = np.argsort(key, kind="stable")
         key.sort()
         # same[p]: sorted paths p and p + 1 join the same pair
         same = key[1:] == key[:-1]
-        del key
         # K_{2,3}: a pair with common neighbours z, x1, x2 leaves (z, x1, x2)
-        # with both members of the pair as medians
+        # with both members of the pair as medians: the first pair with three
+        # paths, and its three least common neighbours (its paths' order)
         wide = np.flatnonzero(same[1:] & same[:-1])
         if wide.size:
-            z, x1, x2 = tail[i[by_pair[wide[0] + np.arange(3)]]]
-            return int(z), int(x1), int(x2)
+            v, w = divmod(int(key[wide[0]]), n)
+            return tuple(sorted(self.adj[v] & self.adj[w])[:3])
+        del key
         # quadrangle condition, counted: a pair now has at most two paths, so
         # each square is two pairs with two paths each; at every root the
         # down pairs must number exactly the squares (see is_median)
@@ -541,24 +542,20 @@ class MedianGraph:
         else:
             return None
         # witness: the first down pair (v, w) at u, by x and then by slots,
-        # with no common neighbour nearer u; only the twin of x can be one,
-        # the other common neighbour of each path's pair (or -1)
-        twin = np.full(len(i), -1, dtype=np.int32)
-        pairs = by_pair[np.flatnonzero(same)[:, None] + [0, 1]]
-        twin[pairs] = tail[i[pairs[:, ::-1]]]
-        # the path on slots (a, b) has index path_of[a] + b
-        slots = np.arange(len(tail), dtype=np.int32)
-        path_of = np.searchsorted(i, slots) - slots - 1
+        # with no common neighbour nearer u, so the up pair of no vertex
         row = d[u]
-        slot = np.flatnonzero(row[head] < row[tail])
-        p, q = _pairs_within(tail[slot])
-        a, b = slot[p], slot[q]
-        other = twin[path_of[a] + b]
-        bad = np.flatnonzero((other < 0) | (row[other] > row[head[a]]))
+
+        def pair_keys(keep):
+            slot = np.flatnonzero(keep)
+            p, q = _pairs_within(tail[slot])
+            return head[slot[p]] * n + head[slot[q]]
+
+        downs = pair_keys(row[head] < row[tail])
+        bad = np.flatnonzero(~np.isin(downs, pair_keys(row[head] > row[tail])))
         if not bad.size:
             raise ConsistencyError("a root fails the square count but has no bad pair")
-        t = bad[0]
-        return u, int(head[a[t]]), int(head[b[t]])
+        v, w = divmod(int(downs[bad[0]]), n)
+        return u, v, w
 
     def _median_set(self, x: int, y: int, z: int) -> list[int]:
         d = self.dist
@@ -648,7 +645,7 @@ class MedianGraph:
     def transverse(self) -> np.ndarray:
         """Boolean (H, H) table: all four quarter-space intersections nonempty."""
         if "transverse" not in self._cache:
-            trans = side_meets(self.sides).all(axis=(0, 1))
+            trans = side_meets(self.sides, self.sides).all(axis=(0, 1))
             np.fill_diagonal(trans, False)
             self._cache["transverse"] = trans
         return self._cache["transverse"]
@@ -865,7 +862,7 @@ class MedianGraph:
             return int(self.dist_matrix(L1)[ix, iy])
         if metric == LINF:
             ws = self.wall_system
-            chain = ws._chain_in_pair(ws.columns[ix] ^ ws.columns[iy], (ix, iy))[0]
+            chain = ws.longest_chain(ws.columns[ix] ^ ws.columns[iy])[0]
             bfs = int(self.dist_matrix(LINF)[ix, iy])
             if chain != bfs:
                 raise ConsistencyError(

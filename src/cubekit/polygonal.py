@@ -533,7 +533,7 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
 
     # an orientation is an int whose bit k is the side chosen for wall k;
     # clash[b][c][k] holds the walls j != k whose side c misses side b of k
-    quad = side_meets(sides)
+    quad = side_meets(sides, sides)
     apart = ~quad & ~np.eye(h, dtype=bool)
     clash = [[_row_bits(apart[b, c]) for c in (0, 1)] for b in (0, 1)]
 
@@ -777,14 +777,14 @@ class TransferReport:
 
 def _transfer_end(x, dc, v, report):
     """``v``'s projection with the wall masks a transfer needs, as
-    (point, inside, touches, meets, column).
+    (point, inside, touches, meets).
 
     Over the walls of ``dc.system``, ``inside`` holds those with the whole
     carrier in side 0, ``touches`` those with some carrier vertex in side 0
-    and ``meets`` those through the point's cell; ``column`` is the
-    carrier's least vertex.  Each vertex is projected once per dual: the
-    points are kept on ``dc`` together with the complex and the report they
-    were made under, and a call with another complex or report starts over.
+    and ``meets`` those through the point's cell.  Each vertex is projected
+    once per dual: the points are kept on ``dc`` together with the complex
+    and the report they were made under, and a call with another complex or
+    report starts over.
     """
     if report is None:
         report = _own_classification(dc)
@@ -804,8 +804,7 @@ def _transfer_end(x, dc, v, report):
         for wall in dc.walls:
             if _wall_meets_cell(wall, point.cell):
                 meets |= 1 << wall.index
-        column = dc.vertex_index[min(point.carrier)]
-        ends[v] = (point, inside, touches, meets, column)
+        ends[v] = (point, inside, touches, meets)
     return ends[v]
 
 
@@ -824,28 +823,26 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     the other's OR does not.  The dual separating set is the XOR of the two
     vertices' halfspace columns.
 
-    Both families come from the WallSystem chain DP, which tests only
-    neighbours in halfspace order.  For the walls this is exact because
-    walls cross only inside polygons (Wise, "Cubulating small cancellation
+    Both families are ``WallSystem.longest_chain`` of their separating
+    mask, ordered toward u for the dual: inside one pair's separating set,
+    disjoint walls are exactly the comparable ones.  For the dual this is
+    the median graph's empty quadrant.  For the walls it holds because walls
+    cross only inside polygons (Wise, "Cubulating small cancellation
     groups", GAFA 14, 2004).  Two walls sharing no polygon are nested: the
     edges and carrier polygons of each lie on one side of the other, so one
     quadrant is empty.  And nested walls s < t < r, where neither s, t nor
     t, r share a polygon, share none either: its boundary would have
     vertices on both sides of t and so an edge of t.
     """
-    pu, inside_u, touches_u, meets_u, end_u = _transfer_end(x, dc, u, report)
-    pw, inside_w, touches_w, meets_w, end_w = _transfer_end(x, dc, w, report)
-    g = dc.graph
-    # separating hyperplanes of a median graph nest, so the chain DP is exact
-    rep = tuple(g.indices_of([u, w]))
-    columns = g.wall_system.columns
-    dual_family = g.wall_system._chain_in_pair(
-        columns[rep[0]] ^ columns[rep[1]], rep
-    )[1]
+    pu, inside_u, touches_u, meets_u = _transfer_end(x, dc, u, report)
+    pw, inside_w, touches_w, meets_w = _transfer_end(x, dc, w, report)
+    ws, rep = dc.graph.wall_system, tuple(dc.graph.indices_of([u, w]))
+    separating = ws.columns[rep[0]] ^ ws.columns[rep[1]]
+    dual_family = ws.order_chain(ws.longest_chain(separating)[1], rep)
 
     apart = inside_u & ~touches_w | inside_w & ~touches_u
     mask = apart & ~meets_u & ~meets_w
-    wall_family = tuple(sorted(dc.system._chain_in_pair(mask, (end_u, end_w))[1]))
+    wall_family = tuple(sorted(dc.system.longest_chain(mask)[1]))
     return TransferReport(
         u, w, pu, pw, len(dual_family), len(wall_family), dual_family, wall_family
     )

@@ -485,9 +485,8 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
         current = list(maximal_large_joins(dg))  # sorted by sorted names
     else:
         raise GraphInputError(f"unknown seed {seed!r}")
-    trace = [current]
+    masks, trace = list(map(dg._mask, current)), [current]
     while True:
-        masks = list(map(dg._mask, current))
         uf, owner = UnionFind(len(masks)), {}  # owner: a member holding a non-edge
         for i, m in enumerate(masks):
             for u in _bits(m):
@@ -496,11 +495,12 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
         groups: dict[int, int] = {}
         for i, m in enumerate(masks):
             groups[uf.find(i)] = groups.get(uf.find(i), 0) | m
-        closed = {dg._names(_closure(links, g)) for g in groups.values()}
-        nxt = sorted(closed, key=sorted)
-        if nxt == current:
+        closed = {_closure(links, g) for g in groups.values()}
+        if closed == set(masks):
             break
-        current = nxt
+        # each member is named once, for the trace and the report
+        named = sorted(((dg._names(m), m) for m in closed), key=lambda t: sorted(t[0]))
+        current, masks = [t[0] for t in named], [t[1] for t in named]
         trace.append(current)
     if current:
         if squares is None:

@@ -350,16 +350,56 @@ def grid_walls_brute(sides, transverse, n: int) -> frozenset[int]:
     return frozenset(j for j in range(len(trans_masks)) if (walls >> j) & 1)
 
 
+def _chain_in_pair_by_dp(sides, transverse, mm: int, rep: tuple[int, int]):
+    """Largest pairwise disjoint family among the walls of `mm`, all
+    separating the pair rep: (length, members in halfspace order toward
+    rep[0]).  Two disjoint walls separating one pair are strictly nested, so
+    in that order it is a longest-increasing-chain DP."""
+    members = order_chain_numpy(sides, [j for j in range(len(transverse)) if mm >> j & 1], rep)
+    f, parent = [1] * len(members), [-1] * len(members)
+    for i, b in enumerate(members):
+        for t in range(i):
+            if f[t] >= f[i] and not transverse[members[t], b]:
+                f[i], parent[i] = f[t] + 1, t
+    if not members:
+        return 0, ()
+    cur = max(range(len(members)), key=lambda i: f[i])
+    top, chain = f[cur], []
+    while cur != -1:
+        chain.append(members[cur])
+        cur = parent[cur]
+    return top, tuple(reversed(chain))
+
+
+def longest_chain_by_masks(ws, mask: int, pairs=None):
+    """Longest chain inside the wall set `mask` by scanning separation masks:
+    (length, members, pair), the members ordered toward the pair's first
+    vertex.  Every distinct separation mask of ws (`pairs`, by default from
+    ``iter_pairs``) is cut down to `mask` and its largest disjoint family
+    found by the per-pair DP; the first longest one wins."""
+    best = (0, (), None)
+    for m, rep in (ws.iter_pairs() if pairs is None else pairs) if mask else ():
+        mm = m & mask
+        if mm.bit_count() > best[0]:
+            ln, members = _chain_in_pair_by_dp(ws.sides, ws.transverse, mm, rep)
+            if ln > best[0]:
+                best = (ln, members, rep)
+    return best
+
+
 def grid_through_wall_brute(ws, wall: int, n: int, cap: int = 200_000) -> tuple[bool, bool]:
     """Whether some (n,n)-grid has `wall` in one of its chains: (found, exact).
 
     One depth-first search per wall: chains through `wall` are grown as
-    nested subsets of separation masks until n walls cross n others.
+    nested subsets of separation masks until n walls cross n others, and
+    crossing chains are measured by `longest_chain_by_masks`.
     """
     if n == 1:
         return bool(ws.transverse[wall].any()), True
-    pairs0 = [(m, r) for m, r in ws.pairs if (m >> wall) & 1]
+    all_pairs = list(ws.iter_pairs())
+    pairs0 = [(m, r) for m, r in all_pairs if (m >> wall) & 1]
     state = {"nodes": 0, "exact": True, "found": False}
+    crossing: dict[int, int] = {}
 
     def dfs(chain_mask, p, pairs, tmask, dmask, last):
         if state["found"]:
@@ -368,7 +408,9 @@ def grid_through_wall_brute(ws, wall: int, n: int, cap: int = 200_000) -> tuple[
             state["exact"] = False
             return
         state["nodes"] += 1
-        if ws.longest_chain(tmask)[0] < n:
+        if tmask not in crossing:
+            crossing[tmask] = longest_chain_by_masks(ws, tmask, all_pairs)[0]
+        if crossing[tmask] < n:
             return
         if p >= n:
             state["found"] = True

@@ -231,7 +231,7 @@ def test_contracting_past_the_node_cap_is_a_lower_bound(monkeypatch):
 
 def test_chain_search_frees_its_wall_system():
     # the recursive search must leave no reference cycle holding the wall
-    # system, whose pairs and chain memos would then wait for a full collection
+    # system, whose halfspace rows would then wait for a full collection
     g = fx.grid_graph(4, 3)
     ws = weakref.ref(g.wall_system)
     assert fx.cyclic_garbage(lambda: (max_grid(g), walls_in_grids(g.wall_system, 2))) == 0

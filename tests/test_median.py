@@ -26,7 +26,7 @@ from fixtures import (
     staircase,
     tree_y,
 )
-from cubekit import median
+from cubekit import diagnostics, median
 from cubekit.errors import ConsistencyError, GraphInputError, NotMedianError, SizeCapError
 from cubekit.median import L1, LINF, MedianGraph, MedianVerdict, ram_bound
 from cubekit.polygonal import dual_cube_complex
@@ -413,18 +413,18 @@ def test_wall_pairs_match_pairwise_oracle():
         graphs.append(p)
     for g in graphs:
         ws = median.WallSystem(g.sides, g.transverse)
-        assert ws.pairs == bf.wall_pairs_brute(g.sides), g
+        assert list(ws.iter_pairs()) == bf.wall_pairs_brute(g.sides), g
     # more than 64 walls take more than one packed word per vertex
     for g in (random_tree(90, rng), product_graph(path_graph(70), path_graph(1))):
-        assert g.wall_system.pairs == bf.wall_pairs_brute(g.sides)
+        assert list(g.wall_system.iter_pairs()) == bf.wall_pairs_brute(g.sides)
 
 
 def test_wall_pairs_stop_early_without_caching():
     ws = median.WallSystem(FIX["grid_6x6"].sides, FIX["grid_6x6"].transverse)
     head = list(itertools.islice(ws.iter_pairs(), 10))
-    assert ws._pairs is None
-    assert head == ws.pairs[:10]
-    assert list(ws.iter_pairs()) == ws.pairs
+    pairs = list(ws.iter_pairs())
+    assert head == pairs[:10]
+    assert pairs == bf.wall_pairs_brute(ws.sides)
 
 
 def _chain_oracle_systems():
@@ -443,8 +443,9 @@ def _chain_oracle_systems():
 
 def test_chain_dp_and_order_match_oracles():
     """On sampled vertex pairs and random submasks of their separating walls,
-    the chain DP is a largest pairwise disjoint family, and order_chain
-    equals the stable numpy ordering, ties and all."""
+    the longest chain is a largest pairwise disjoint family listed in
+    halfspace order toward its own pair, and order_chain equals the stable
+    numpy ordering, ties and all."""
     rng = random.Random(7)
     for ws in _chain_oracle_systems():
         pairs = list(itertools.permutations(range(ws.nv), 2))
@@ -452,15 +453,85 @@ def test_chain_dp_and_order_match_oracles():
             seps = [j for j in range(ws.h) if ws.sides[j, x] != ws.sides[j, y]]
             for keep in (seps, [j for j in seps if rng.random() < 0.5]):
                 keep = keep[:14]
-                ln, chain = ws._chain_in_pair(sum(1 << j for j in keep), (x, y))
+                ln, members, rep = ws.longest_chain(sum(1 << j for j in keep))
+                chain = ws.order_chain(members, (x, y))
                 assert ln == len(chain) and set(chain) <= set(keep)
                 assert bf.pairwise_disjoint_family(ws.transverse, list(chain), ln) is not None
                 assert bf.pairwise_disjoint_family(ws.transverse, keep, ln + 1) is None
                 assert bf.pairwise_disjoint_family(ws.transverse, keep, ln) is not None or ln == 0
                 assert chain == bf.order_chain_numpy(ws.sides, chain, (x, y))
+                if ln:
+                    assert members == bf.order_chain_numpy(ws.sides, members, rep)
             members = rng.sample(range(ws.h), min(ws.h, rng.randint(0, 8)))
             for rep in ((x, y), (y, x)):
                 assert ws.order_chain(members, rep) == bf.order_chain_numpy(ws.sides, members, rep)
+
+
+def _chain_oracle_systems_at_scale():
+    """The chain oracle systems, the C4 and C5 ball walls up to r = 4 and 30
+    seeded tree products."""
+    rng = random.Random(16)
+    out = _chain_oracle_systems()
+    for spec in ("abcd", "abcde"):
+        cycle = DefiningGraph(spec, list(zip(spec, spec[1:] + spec[0])))
+        out += [ball_walls(cycle, r).system for r in (1, 2, 3, 4)]
+    for _ in range(30):
+        g = product_graph(random_tree(rng.randint(2, 7), rng), random_tree(rng.randint(2, 5), rng))
+        if rng.random() < 0.3:
+            g = product_graph(g, path_graph(rng.randint(1, 2)))
+        out.append(g.wall_system)
+    return out
+
+
+def _separates(ws, pair, walls) -> bool:
+    x, y = pair
+    return all(ws.sides[j, x] != ws.sides[j, y] for j in walls)
+
+
+def test_longest_chain_matches_the_mask_scan():
+    # random masks: the mask-scan oracle's length, pairwise disjoint
+    # members, and a pair that every member separates
+    rng = random.Random(16)
+    for ws in _chain_oracle_systems_at_scale():
+        masks = [(1 << ws.h) - 1] + [rng.getrandbits(ws.h) for _ in range(20)]
+        for mask in masks:
+            ln, members, rep = ws.longest_chain(mask)
+            assert ln == bf.longest_chain_by_masks(ws, mask)[0], (ws.h, mask)
+            assert ln == len(members) and all(mask >> j & 1 for j in members)
+            assert bf.pairwise_disjoint_family(ws.transverse, list(members), ln) == members
+            assert rep is None if ln == 0 else _separates(ws, rep, members)
+
+
+def test_chain_search_extends_by_comparability_as_by_separation_masks():
+    # at every node of a capped search, the walls that may extend the chain
+    # are those of the separation masks holding it, disjoint from it and
+    # above its last wall; the pair handed on is separated by the chain,
+    # and the crossing chain is the mask-scan oracle's length
+    seen = []
+
+    def visit(chain, rep, cross, ext):
+        seen.append((chain, rep, cross, ext))
+        return True
+
+    for ws in _chain_oracle_systems_at_scale():
+        pairs = list(ws.iter_pairs())
+        seen.clear()
+        nodes, _ = diagnostics._chain_search(ws, visit, 400, 0)
+        assert len(seen) == nodes - 1
+        for chain, rep, cross, ext in seen:
+            held = sum(1 << j for j in chain)
+            want = 0
+            for m, _ in pairs:
+                if m & held == held:
+                    want |= m
+            for j in chain:
+                want &= ws._disjoint_int[j]
+            assert ext == want & -(2 << chain[-1]), (ws.h, chain)
+            assert _separates(ws, rep, chain)
+            tmask = (1 << ws.h) - 1
+            for j in chain:
+                tmask &= ws._trans_int[j]
+            assert len(cross) == bf.longest_chain_by_masks(ws, tmask, pairs)[0]
 
 
 def test_halfspaces_are_convex():

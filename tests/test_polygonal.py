@@ -755,6 +755,22 @@ class TestSeparationTransfer:
         with pytest.raises(ConsistencyError, match="no maximal cube"):
             separation_transfer(x, dc, u, w, ClassificationReport(True, (), ()))
 
+    def test_all_pairs_sweep_leaves_no_entry_per_pair(self):
+        # the wall systems keep rows per wall, halfspace or vertex only: after
+        # 1 225 transfers no attribute has grown with the pairs or masks asked
+        x = hex_chain_complex(8)
+        dc = dual_cube_complex(x)
+        rep = classify_maximal_cubes(dc)
+        pairs = list(itertools.combinations(dc.graph.ids, 2))
+        assert len(pairs) == 1225
+        for u, w in pairs:
+            separation_transfer(x, dc, u, w, rep)
+        for ws in (dc.system, dc.graph.wall_system):
+            for name, value in vars(ws).items():
+                for part in value if isinstance(value, tuple) else (value,):
+                    if isinstance(part, (dict, set, list)):
+                        assert len(part) <= max(2 * ws.h, ws.nv), name
+
     def test_holds_on_sampled_pairs(self):
         for name, x in sc_fixtures().items():
             dc = dual_cube_complex(x)
