@@ -15,9 +15,15 @@ dictionary is available combinatorially:
   and it equals the longest chain of pairwise disjoint separating hyperplanes;
 - every convex set admits a nearest-point projection (the gate map).
 
-Everything here is exact.  Median recognition checks local conditions over
-the distance table; dense numpy tables (n x n and smaller) are used throughout,
-so the intended scale is a few thousand vertices at most.
+Everything here is exact.  The distance table is read off the hyperplanes,
+since the distance between two vertices is the number of hyperplanes
+separating them: one pass over the 4-cycles gives the edge classes, their
+sides and the table, and a certificate proves the table is the graph metric.
+Graphs that fail the certificate (every graph that is not bipartite or holds
+a K_{2,3}, and most other non-median graphs) get a BFS table instead.
+Median recognition checks local conditions over the table.  Dense numpy
+tables (n x n and smaller) are used throughout, so the intended scale is a
+few thousand vertices at most.
 """
 
 from __future__ import annotations
@@ -85,6 +91,32 @@ def _pairs_within(groups: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.nda
     second -= np.repeat((np.cumsum(later) - later).astype(dtype), later)
     second += first
     return first, second
+
+
+def _word_bit(i: np.ndarray) -> np.ndarray:
+    """Bit i of a row of 64-bit words, as a mask of word i // 64."""
+    return np.uint64(1) << (i & 63).astype(np.uint64)
+
+
+def _lowest_labels(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each of `count` nodes labelled by the least node of its component, for
+    the links a[i] - b[i].  Each round hooks the higher root of every link
+    still joining two trees onto the lower one, then lets labels jump to
+    their roots; a label never exceeds its node, so the least member of a
+    component is its root."""
+    label = np.arange(count)
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            return label
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
 
 
 def _bfs_table(n: int, arcs: np.ndarray) -> np.ndarray:
@@ -381,7 +413,8 @@ class MedianGraph:
             self.adj[ia].add(ib)
             self.adj[ib].add(ia)
         self.edges: list[tuple[int, int]] = sorted(edge_set)
-        self.edge_index: dict[tuple[int, int], int] = {e: i for i, e in enumerate(self.edges)}
+        # the same edges as an (m, 2) index array, for the numpy passes
+        self._ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
         self._cache: dict[str, object] = {}
 
     # -- basic structure ----------------------------------------------------
@@ -412,12 +445,212 @@ class MedianGraph:
 
     @property
     def dist(self) -> np.ndarray:
-        """All-pairs graph distance table (int32); requires connectivity."""
+        """All-pairs graph distance table (int32); requires connectivity.
+
+        In a median graph the distance between two vertices is the number
+        of hyperplanes separating them (Sageev, Proc. LMS 71, 1995), so the
+        table is read off the hyperplanes (``_certified_table``).  The
+        opposite edges of the 4-cycles are joined into classes, and each
+        vertex gets a code, one bit per class, along a BFS tree from vertex
+        0.  The table is the Hamming distance of codes, and a certificate
+        proves it is the graph metric: (a) the ends of every edge differ in
+        exactly that edge's class, and (b) at each vertex the halfspaces on
+        its side of the classes of its edges meet only in it.  Every median
+        graph passes.  Graphs that fail (every non-bipartite graph, every
+        K_{2,3}, and more) get the table from ``_bfs_table``.
+        """
         if "dist" not in self._cache:
-            self._require_connected()
-            e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-            self._cache["dist"] = _bfs_table(self.n, np.r_[e, e[:, ::-1]])
+            table = self._certified_table()
+            if table is None:
+                e = self._ends
+                table = _bfs_table(self.n, np.r_[e, e[:, ::-1]])
+            self._cache["dist"] = table
         return self._cache["dist"]
+
+    def _slots(self) -> dict:
+        """Directed edges ("slots") sorted by tail, then head, and the 4-cycles
+        read off the paths v - x - w, v < w, as sorted keys v n + w.
+
+        ``edge`` maps slots to edge indices.  ``wide`` is the least key with
+        three or more paths (a K_{2,3}), or None; without one, every key with
+        two paths is a diagonal of exactly one 4-cycle, and ``diagonals``
+        lists those keys, so each 4-cycle appears twice.  A pair without a
+        K_{2,3} has at most two common neighbours, so more than n (n - 1)
+        paths hold a K_{2,3} and the paths of the tails past that count are
+        not listed.
+        """
+        if "slots" in self._cache:
+            return self._cache["slots"]
+        n, e = self.n, self._ends
+        # int32 indices and keys suffice while the path count and n * n fit
+        idx = np.int32 if 2 * n * n < 2**31 else np.intp
+        tail = np.r_[e[:, 0], e[:, 1]].astype(idx)
+        head = np.r_[e[:, 1], e[:, 0]].astype(idx)
+        order = np.lexsort((head, tail))
+        tail, head = tail[order], head[order]
+        deg = np.bincount(tail, minlength=n)
+        stop = np.searchsorted(np.cumsum(deg * (deg - 1) // 2), n * (n - 1), "right")
+        i, j = _pairs_within(tail[tail <= stop], idx)
+        key = head[i]
+        del i
+        key *= n
+        key += head[j]
+        del j
+        key.sort()
+        # same[p]: sorted paths p and p + 1 join the same pair
+        same = key[1:] == key[:-1]
+        wide = np.flatnonzero(same[1:] & same[:-1])
+        slots = {
+            "tail": tail, "head": head, "deg": deg, "edge": order % max(len(e), 1),
+            "paths": len(key), "wide": int(key[wide[0]]) if wide.size else None,
+            "diagonals": key[:-1][same],
+        }
+        self._cache["slots"] = slots
+        return slots
+
+    def _certified_table(self) -> np.ndarray | None:
+        """The distance table read off the hyperplanes, or None when the
+        certificate fails; also caches the connectivity and, on success, the
+        edge classes and sides.
+
+        1. A BFS tree from vertex 0 gives levels; an edge within a level
+           means the graph is not bipartite.
+        2. The two pairs of opposite edges of each 4-cycle are joined into
+           classes, numbered by their lowest edge index.  A K_{2,3} refuses.
+        3. A vertex's code is its parent's with the tree edge's class
+           flipped; side A of a class holds the lower end of its first
+           edge (Djokovic's W(u, v)).
+        4. Certificate: (a) the ends of every edge differ in exactly that
+           edge's class, and (b) at each vertex x the halfspaces on x's side
+           of the classes of x's edges meet only in x.  With D the Hamming
+           distance of codes, (a) gives D <= d, since each edge changes one
+           coordinate; given (a), (b) gives every x != u a neighbour one
+           step nearer u in D, so d <= D.  A median graph always passes,
+           since its square-closure classes are its hyperplanes.
+        5. Row 0 is the BFS levels; a vertex's row is its parent's, one less
+           on its own side of the tree edge's class and one more elsewhere.
+        """
+        n, adj = self.n, self.adj
+        level, parent, order = [-1] * n, [0] * n, [0]
+        level[0] = 0
+        for v in order:
+            for w in adj[v]:
+                if level[w] < 0:
+                    level[w], parent[w] = level[v] + 1, v
+                    order.append(w)
+        self._cache["connected"] = len(order) == n
+        self._require_connected()
+        if n == 1:
+            self._cache["walls"] = {
+                "edge_class": np.zeros(0, dtype=np.int32), "halfspaces": np.zeros((0, 1), "<u8"),
+            }
+            return np.zeros((1, 1), dtype=np.int32)
+        e = self._ends
+        level = np.array(level, dtype=np.int32)
+        if (level[e[:, 0]] == level[e[:, 1]]).any():
+            return None
+        slots = self._slots()
+        if slots["wide"] is not None:
+            return None
+        tail, head, edge, deg = slots["tail"], slots["head"], slots["edge"], slots["deg"]
+        # 2. the 4-cycle a - x1 - b - x2 of a diagonal (a, b), found by the
+        # neighbours x of a with an edge x - b: (a, x1) ~ (b, x2), (x1, b) ~ (x2, a);
+        # the other diagonal gives the same pairs, and of the two only one
+        # lies on even levels
+        a, b = np.divmod(slots["diagonals"].astype(np.intp), n)
+        even = level[a] % 2 == 0
+        a, b = a[even], b[even]
+        swap = deg[a] > deg[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        start = np.r_[0, np.cumsum(deg)]
+        count = deg[a]
+        ax = np.arange(count.sum()) + np.repeat(start[a] - np.cumsum(count) + count, count)
+        skey = tail.astype(np.intp) * n + head
+        want = head[ax] * n + np.repeat(b, count)
+        xb = np.minimum(np.searchsorted(skey, want), len(skey) - 1)
+        hit = skey[xb] == want
+        ax, xb = edge[ax[hit]].reshape(-1, 2), edge[xb[hit]].reshape(-1, 2)
+        first, cls = np.unique(
+            _lowest_labels(len(e), np.r_[ax[:, 0], xb[:, 0]], np.r_[xb[:, 1], ax[:, 1]]),
+            return_inverse=True,
+        )
+        h = len(first)
+        # 3. codes along the tree: bit c of vertex v's code is the parity of
+        # the class-c edges on its tree path, so the vertices with bit c set
+        # are the XOR of the subtrees below the tree edges of class c
+        kids = np.array(order[1:], dtype=np.intp)
+        dads = np.array(parent, dtype=np.intp)[kids]
+        ekey = e[:, 0] * n + e[:, 1]
+        tree = cls[np.searchsorted(ekey, np.minimum(kids, dads) * n + np.maximum(kids, dads))]
+        code, below, far = [0] * n, [1 << v for v in range(n)], [0] * h
+        bit, classes = [1 << c for c in range(h)], tree.tolist()
+        for v, c in zip(order[1:], classes):
+            code[v] = code[parent[v]] ^ bit[c]
+        for v, c in zip(reversed(order), reversed(classes)):
+            below[parent[v]] |= below[v]
+            far[c] ^= below[v]
+        width = 8 * -(-h // 64)
+        words = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in code), dtype="<u8")
+        words = words.reshape(n, -1)
+        # 4a. every edge flips its own class and no other
+        flips = words[e[:, 0]] ^ words[e[:, 1]]
+        flips[np.arange(len(e)), cls >> 6] ^= _word_bit(cls)
+        if flips.any():
+            return None
+        # the halfspaces as rows of 64-bit words over the vertices: row c is
+        # side A of class c, which holds the lower end of its first edge,
+        # and row h + c is side B
+        nw = -(-n // 64)
+        every = np.full(nw, ~np.uint64(0))
+        every[-1] >>= np.uint64(64 * nw - n)
+        side_a = np.frombuffer(b"".join(r.to_bytes(8 * nw, "little") for r in far), dtype="<u8")
+        side_a = side_a.reshape(h, nw).copy()
+        low = e[first, 0]
+        side_a[(words[low, np.arange(h) >> 6] & _word_bit(np.arange(h))) == 0] ^= every
+        half = np.r_[side_a, side_a ^ every]
+        del code, below, far, words, flips, side_a
+
+        def own_side(c, v):
+            """Row of the halfspace of class c holding vertex v."""
+            return c + h * ((half[c, v >> 6] & _word_bit(v)) == 0)
+
+        # 4b. at each vertex the AND of the rows of its own sides of the
+        # classes at its slots is that vertex alone; in blocks of vertices
+        at_slot = own_side(cls[edge], tail)
+        block = max(1, _BLOCK_CELLS // nw)
+        v0 = 0
+        while v0 < n:
+            v1 = min(n, max(v0 + 1, int(np.searchsorted(start, start[v0] + block, "right")) - 1))
+            meet = np.bitwise_and.reduceat(
+                half[at_slot[start[v0] : start[v1]]], start[v0:v1] - start[v0], axis=0
+            )
+            own = np.arange(v0, v1)
+            meet[own - v0, own >> 6] ^= _word_bit(own)
+            if meet.any():
+                return None
+            v0 = v1
+        del at_slot
+        # 5. rows by levels, from the BFS levels of vertex 0: in blocks of
+        # vertices in BFS order, each row's steps (-1 on the vertex's own
+        # side of its tree edge's class, +1 elsewhere), then one level at a
+        # time, since a level's parents lie above it
+        table = np.empty((n, n), dtype=np.int32)
+        table[0] = level
+        at_kid = own_side(tree, kids)
+        starts = np.cumsum(np.bincount(level))[:-1] - 1  # of levels, in kids
+        rows = max(1, _BLOCK_CELLS // n)
+        for r0 in range(0, n - 1, rows):
+            r1 = min(n - 1, r0 + rows)
+            step = np.unpackbits(
+                half[at_kid[r0:r1]].view(np.uint8), axis=1, count=n, bitorder="little"
+            ).view(np.int8)
+            step *= -2
+            step += 1
+            cuts = [r0, *starts[(starts > r0) & (starts < r1)].tolist(), r1]
+            for lo, hi in zip(cuts, cuts[1:]):
+                table[kids[lo:hi]] = table[dads[lo:hi]] + step[lo - r0 : hi - r0]
+        self._cache["walls"] = {"edge_class": cls.astype(np.int32), "halfspaces": half}
+        return table
 
     def _require_connected(self) -> None:
         if not self.is_connected:
@@ -455,9 +688,9 @@ class MedianGraph:
         every neighbour of x is one step nearer or farther.  Only the first
         failing root is scanned pair by pair, for its witness.
 
-        Cost: the distance table, one sort of the sum deg^2 / 2 paths
-        v - x - w (the 4-cycle count and the K_{2,3} test), and O(n m) for
-        the counts; O(n^2) memory.
+        Cost: the distance table, whose pass also sorts the sum deg^2 / 2
+        paths v - x - w (the 4-cycle count and the K_{2,3} test), and O(n m)
+        for the counts; O(n^2) memory.
         """
         if "median_verdict" in self._cache:
             return self._cache["median_verdict"]
@@ -478,52 +711,32 @@ class MedianGraph:
 
     def _median_failure(self) -> tuple[int, int, int] | None:
         """A triple without a unique median, or None when the graph is median."""
-        n, d = self.n, self.dist
-        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        n, d, e = self.n, self.dist, self._ends
         # bipartite: an edge (a, b) level with vertex 0 leaves (0, a, b) with
         # no median, since a median lies in I(a, b) = {a, b}
         level = np.flatnonzero(d[0, e[:, 0]] == d[0, e[:, 1]])
         if level.size:
             a, b = e[level[0]]
             return 0, int(a), int(b)
-        # directed edges ("slots") sorted by tail, then head; int32 indices
-        # and keys suffice, since n <= IS_MEDIAN_CAP gives n * n < 2**31
-        tail = np.r_[e[:, 0], e[:, 1]].astype(np.int32)
-        head = np.r_[e[:, 1], e[:, 0]].astype(np.int32)
-        order = np.lexsort((head, tail))
-        tail, head = tail[order], head[order]
-        # paths v - x - w as pairs i < j of slots of x; without a K_{2,3} a
-        # pair v, w has at most two common neighbours, so more than n (n - 1)
-        # paths hold a K_{2,3} and the tails past that count are not needed
-        deg = np.bincount(tail, minlength=n)
-        stop = np.searchsorted(np.cumsum(deg * (deg - 1) // 2), n * (n - 1), "right")
-        i, j = _pairs_within(tail[tail <= stop], np.int32)
-        if not i.size:
+        # the slots and the paths v - x - w, shared with the distance pass
+        slots = self._slots()
+        if not slots["paths"]:
             return None
-        key = head[i]
-        del i
-        key *= n
-        key += head[j]
-        del j
-        key.sort()
-        # same[p]: sorted paths p and p + 1 join the same pair
-        same = key[1:] == key[:-1]
+        tail, head = slots["tail"], slots["head"]
         # K_{2,3}: a pair with common neighbours z, x1, x2 leaves (z, x1, x2)
         # with both members of the pair as medians: the first pair with three
         # paths, and its three least common neighbours (its paths' order)
-        wide = np.flatnonzero(same[1:] & same[:-1])
-        if wide.size:
-            v, w = divmod(int(key[wide[0]]), n)
+        if slots["wide"] is not None:
+            v, w = divmod(slots["wide"], n)
             return tuple(sorted(self.adj[v] & self.adj[w])[:3])
-        del key
         # quadrangle condition, counted: a pair now has at most two paths, so
         # each square is two pairs with two paths each; at every root the
         # down pairs must number exactly the squares (see is_median)
-        squares = np.count_nonzero(same) // 2
+        squares = len(slots["diagonals"]) // 2
         # the slots, sorted by tail, are the adjacency matrix in CSR form
         from scipy.sparse import csr_matrix
 
-        deg = deg.astype(np.int32)
+        deg = slots["deg"].astype(np.int32)
         ones = np.ones(len(head), dtype=np.int32)
         adj = csr_matrix((ones, head, np.r_[0, np.cumsum(deg)]), shape=(n, n))
         block = max(1, _BLOCK_CELLS // n)
@@ -592,42 +805,21 @@ class MedianGraph:
     # -- hyperplanes ----------------------------------------------------------
 
     def _hyperplane_data(self):
-        """Edge classes, halfspace matrix, per-edge class labels."""
+        """Edge classes, halfspace matrix, per-edge class labels, as the
+        certified distance pass found them (see ``_certified_table``)."""
         if "hyp" in self._cache:
             return self._cache["hyp"]
         self.require_median()
-        m = len(self.edges)
-        uf = UnionFind(m)
-        for ei, (u, v) in enumerate(self.edges):
-            for w in self.adj[u]:
-                if w == v:
-                    continue
-                for x in self.adj[v]:
-                    # square u - v - x - w: (u, v) is opposite (w, x)
-                    if x == u or x == w:
-                        continue
-                    if x in self.adj[w]:
-                        ej = self.edge_index[(min(w, x), max(w, x))]
-                        uf.union(ei, ej)
-        roots: dict[int, int] = {}
-        edge_class = np.empty(m, dtype=np.int32)
-        class_edges: list[list[int]] = []
-        for ei in range(m):
-            r = uf.find(ei)
-            if r not in roots:
-                roots[r] = len(class_edges)
-                class_edges.append([])
-            edge_class[ei] = roots[r]
-            class_edges[roots[r]].append(ei)
-        # halfspace of a class: W(u, v) = {x : d(x, u) < d(x, v)} for its
-        # first dual edge uv (Djokovic); its cut edges must be the class
-        first = [self.edges[dual[0]] for dual in class_edges]
-        u, v = np.array(first, dtype=np.intp).reshape(-1, 2).T
-        sides = self.dist[u] < self.dist[v]
-        a, b = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
-        cut = sides[:, a] != sides[:, b]
-        if not (cut == (edge_class == np.arange(len(class_edges))[:, None])).all():
-            raise ConsistencyError("a halfspace cut differs from its edge class")
+        walls = self._cache.get("walls")
+        if walls is None:
+            raise ConsistencyError("a median graph failed the distance certificate")
+        edge_class, half = walls["edge_class"], walls["halfspaces"]
+        sides = np.unpackbits(
+            half[: len(half) // 2].view(np.uint8), axis=1, count=self.n, bitorder="little"
+        ).view(bool)
+        order = np.argsort(edge_class, kind="stable")
+        bounds = np.cumsum(np.bincount(edge_class, minlength=len(sides)))[:-1]
+        class_edges = [part.tolist() for part in np.split(order, bounds)] if len(sides) else []
         data = {"class_edges": class_edges, "edge_class": edge_class, "sides": sides}
         self._cache["hyp"] = data
         return data
@@ -668,23 +860,16 @@ class MedianGraph:
         if "hyperplanes" not in self._cache:
             data = self._hyperplane_data()
             dims = self._hyperplane_dimensions()
+            names = np.array(self.ids, dtype=object)
+            ends = names[self._ends].tolist()
             out = []
-            for ci, dual in enumerate(data["class_edges"]):
-                side_a = frozenset(
-                    self.ids[int(i)] for i in np.flatnonzero(data["sides"][ci])
-                )
-                side_b = frozenset(
-                    self.ids[int(i)] for i in np.flatnonzero(~data["sides"][ci])
-                )
+            for ci, (dual, row) in enumerate(zip(data["class_edges"], data["sides"])):
                 out.append(
                     Hyperplane(
                         index=ci,
-                        dual_edges=tuple(
-                            (self.ids[self.edges[e][0]], self.ids[self.edges[e][1]])
-                            for e in dual
-                        ),
-                        side_a=side_a,
-                        side_b=side_b,
+                        dual_edges=tuple(tuple(ends[e]) for e in dual),
+                        side_a=frozenset(names[row].tolist()),
+                        side_b=frozenset(names[~row].tolist()),
                         dimension=dims[ci],
                     )
                 )
@@ -765,7 +950,7 @@ class MedianGraph:
         n, h = self.n, self.hyperplane_count
         level = self.dist[0]
         trans = self.wall_system._trans_int
-        e = np.array(self.edges, dtype=np.intp)
+        e = self._ends
         tail, head = np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]]
         cls = np.tile(self._hyperplane_data()["edge_class"].astype(np.intp), 2)
         # (vertex, hyperplane) -> neighbour across it, as a sorted key table

@@ -92,9 +92,14 @@ class DefiningGraph:
         return _complete(self._links, self._mask(vs))
 
     def induced_squares(self) -> list[tuple[str, ...]]:
-        """Induced 4-cycles in rank order.  The square a-b-c-d with lowest
-        generator a is found once, from its diagonal a, c: b < d are
-        non-adjacent common neighbours of a and c above a."""
+        """Induced 4-cycles in rank order, each as its sorted generators."""
+        return [tuple(self.vertices[i] for i in _bits(q)) for q in self._square_masks()]
+
+    def _square_masks(self) -> list[int]:
+        """Induced 4-cycles as generator masks, in the order of
+        ``induced_squares``.  The square a-b-c-d with lowest generator a is
+        found once, from its diagonal a, c: b < d are non-adjacent common
+        neighbours of a and c above a."""
         links, full, out = self._links, (1 << len(self.vertices)) - 1, []
         for a, link in enumerate(links):
             for c in _bits(full & ~link & -(2 << a)):
@@ -102,7 +107,7 @@ class DefiningGraph:
                 for b in _bits(common):
                     for d in _bits(common & ~links[b] & -(2 << b)):
                         out.append(tuple(sorted((a, b, c, d))))
-        return [tuple(self.vertices[i] for i in q) for q in sorted(out)]
+        return [sum(1 << i for i in q) for q in sorted(out)]
 
     def square_vertices(self) -> frozenset[str]:
         return frozenset(v for quad in self.induced_squares() for v in quad)
@@ -435,14 +440,15 @@ def validate_decomposition(dg: DefiningGraph, members) -> DecompositionVerdict:
     is as if checked on all large joins; `join_cover_ok` may differ only
     where `closure_ok` fails.
     """
-    return _decomposition_verdict(dg, members, dg.induced_squares())
+    return _decomposition_verdict(dg, members, dg._square_masks())
 
 
 def _decomposition_verdict(dg: DefiningGraph, members, squares) -> DecompositionVerdict:
-    """`validate_decomposition` with the induced squares already listed."""
+    """`validate_decomposition` with the induced squares already listed, as
+    masks."""
     verts, links = dg.vertices, dg._links
     mem = [dg._mask(m) for m in members]
-    miss = [q for q in map(dg._mask, squares) if all(q & ~m for m in mem)]
+    miss = [q for q in squares if all(q & ~m for m in mem)]
     meet = [
         (a, b) for a, b in itertools.combinations(mem, 2) if not _complete(links, a & b)
     ]
@@ -479,13 +485,15 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
     """
     links, squares = dg._links, None
     if seed == SQUARES:
-        squares = dg.induced_squares()
-        current = sorted(map(frozenset, squares), key=sorted)
+        squares = dg._square_masks()
+        named = sorted(((dg._names(q), q) for q in squares), key=lambda t: sorted(t[0]))
+        current, masks = [t[0] for t in named], [t[1] for t in named]
     elif seed == LARGE_JOINS:
         current = list(maximal_large_joins(dg))  # sorted by sorted names
+        masks = list(map(dg._mask, current))
     else:
         raise GraphInputError(f"unknown seed {seed!r}")
-    masks, trace = list(map(dg._mask, current)), [current]
+    trace = [current]
     while True:
         uf, owner = UnionFind(len(masks)), {}  # owner: a member holding a non-edge
         for i, m in enumerate(masks):
@@ -504,7 +512,7 @@ def j_sequence(dg: DefiningGraph, seed: str = SQUARES) -> JoinDecompositionRepor
         trace.append(current)
     if current:
         if squares is None:
-            squares = dg.induced_squares()
+            squares = dg._square_masks()
         verdict = _decomposition_verdict(dg, current, squares)
         if not verdict.ok:
             raise ConsistencyError(

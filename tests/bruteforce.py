@@ -207,6 +207,47 @@ def wall_pairs_brute(sides) -> list[tuple[int, tuple[int, int]]]:
     return list(found.values())
 
 
+def hyperplane_classes_brute(g) -> tuple[list[int], np.ndarray]:
+    """Edge classes and halfspaces of a connected graph, edge by edge.
+
+    Every 4-cycle u - v - x - w joins the edge (u, v) to its opposite edge
+    (w, x), found by scanning the neighbours of both ends of each edge with
+    a union-find; classes are numbered by their lowest edge index.  Side A
+    of a class is W(u, v) = {x : d(x, u) < d(x, v)} for its first edge
+    (u, v), u < v (Djokovic), with d from a BFS per vertex.  Returns the
+    per-edge class list and the (classes x vertices) boolean side-A table.
+    """
+    parent = list(range(len(g.edges)))
+    index = {e: i for i, e in enumerate(g.edges)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ei, (u, v) in enumerate(g.edges):
+        for w in g.adj[u]:
+            if w == v:
+                continue
+            for x in g.adj[v]:
+                # square u - v - x - w: (u, v) is opposite (w, x)
+                if x == u or x == w or x not in g.adj[w]:
+                    continue
+                a, b = find(ei), find(index[(min(w, x), max(w, x))])
+                parent[max(a, b)] = min(a, b)
+    number: dict[int, int] = {}
+    edge_class = [number.setdefault(find(ei), len(number)) for ei in range(len(g.edges))]
+    adj = adj_dict(g)
+    d = {v: bfs_dist(adj, v) for v in g.ids}
+    sides = np.zeros((len(number), g.n), dtype=bool)
+    for ei, c in enumerate(edge_class):
+        if not sides[c].any():
+            u, v = (g.ids[t] for t in g.edges[ei])
+            sides[c] = [d[x][u] < d[x][v] for x in g.ids]
+    return edge_class, sides
+
+
 def cubes_interval_brute(g):
     """The cube inventory of a median graph by the interval scan: every pair
     u < v within max-degree distance whose separating hyperplanes pairwise
@@ -248,7 +289,7 @@ def cubes_interval_brute(g):
         for w in g.adj[v]:
             if w in verts:
                 continue
-            ek = int(edge_class[g.edge_index[(min(v, w), max(v, w))]])
+            ek = int(edge_class[g.edges.index((min(v, w), max(v, w)))])
             if ek in hs_set:
                 continue
             if all(trans[ek, j] for j in hs):

@@ -249,7 +249,8 @@ def test_search_cap_defaults_are_the_library_constants():
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported on the first distance table, not with the CLI
+    # scipy.sparse comes in with median recognition and scipy.sparse.csgraph
+    # with a BFS distance table, neither with the CLI
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, cubekit.cli; "
@@ -261,6 +262,55 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _grid_file(files) -> str:
+    grid = grid_graph(3, 2)
+    return files("grid", serialize_graph(grid.ids, [(grid.ids[a], grid.ids[b]) for a, b in grid.edges]))
+
+
+@pytest.mark.parametrize(
+    "argv,code,bfs",
+    [
+        (["median", "check", "GRID"], 0, False),
+        (["median", "hyperplanes", "GRID"], 0, False),
+        (["median", "cubes", "GRID"], 0, False),
+        (["diag", "grid", "GRID"], 0, False),
+        (["median", "check", "K23"], 1, True),
+        (["median", "dist", "GRID", "0,0", "3,2", "--metric", "linf"], 0, True),
+        (["coneoff", "build", "GRID", "ROW"], 0, True),
+    ],
+    ids=["check", "hyperplanes", "cubes", "diag_grid", "reject", "dist_linf", "coneoff"],
+)
+def test_bfs_table_only_where_the_certificate_fails(argv, code, bfs, files, capsys, monkeypatch):
+    # median inputs read their distance table off their hyperplanes; a
+    # reject, the linf cone-off and a clique cone-off (triangles) run a BFS
+    calls, real = [], median._bfs_table
+
+    def spy(n, arcs):
+        calls.append(n)
+        return real(n, arcs)
+
+    monkeypatch.setattr(median, "_bfs_table", spy)
+    paths = {"GRID": _grid_file(files), "K23": files("k", K23), "ROW": files("r", "sub row : 0,0 1,0 2,0\n")}
+    assert cli.main(["--json", *(paths.get(a, a) for a in argv)]) == code
+    assert bool(calls) == bfs
+
+
+def test_median_check_on_a_grid_leaves_csgraph_unloaded(files):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; from cubekit import cli; "
+        f"code = cli.main(['median', 'check', {_grid_file(files)!r}]); "
+        "print(code, 'scipy.sparse' in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 True []"
 
 
 class TestCachedParser:

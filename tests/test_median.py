@@ -13,6 +13,7 @@ import pytest
 import bruteforce as bf
 from fixtures import (
     c6_with_chord,
+    corner_squares_complex,
     cycle_graph,
     grid_graph,
     hex_chain_complex,
@@ -20,11 +21,14 @@ from fixtures import (
     k23,
     lshape,
     named_fixtures,
+    ngon_complex,
     path_graph,
     product_graph,
     random_tree,
+    square_chain_complex,
     staircase,
     tree_y,
+    two_hexagons_complex,
 )
 from cubekit import diagnostics, median
 from cubekit.errors import ConsistencyError, GraphInputError, NotMedianError, SizeCapError
@@ -309,6 +313,163 @@ def test_size_cap_refuses_recognition(monkeypatch):
     with pytest.raises(SizeCapError):
         grid_graph(1, 1).is_median()
     assert MedianGraph(["a", "b"], [("a", "b")]).is_median().ok
+
+
+# -- the distance table read off the hyperplanes ----------------------------------
+
+
+def _fresh(g: MedianGraph) -> MedianGraph:
+    """An uncached copy of a graph."""
+    return MedianGraph(g.ids, [(g.ids[a], g.ids[b]) for a, b in g.edges])
+
+
+def _oracle_table(g: MedianGraph) -> np.ndarray:
+    d = bf.all_pairs(bf.adj_dict(g))
+    return np.array([[d[a][b] for b in g.ids] for a in g.ids])
+
+
+def _certificate_parts(g: MedianGraph) -> tuple[bool, bool]:
+    """Checks (a) and (b) of the distance certificate, evaluated from the
+    oracle's edge classes with codes along a BFS tree from vertex 0: (a)
+    every edge flips exactly its own class; (b) at each vertex x the
+    halfspaces on x's side of the classes of x's edges meet only in x."""
+    cls = bf.hyperplane_classes_brute(g)[0]
+    cls_of = {e: c for e, c in zip(g.edges, cls)}
+    code, order = {0: frozenset()}, [0]
+    for v in order:
+        for w in sorted(g.adj[v]):
+            if w not in code:
+                code[w] = code[v] ^ {cls_of[(min(v, w), max(v, w))]}
+                order.append(w)
+    a_ok = all(code[u] ^ code[v] == {cls_of[(u, v)]} for u, v in g.edges)
+    b_ok = True
+    for x in range(g.n):
+        at = {cls_of[(min(x, y), max(x, y))] for y in g.adj[x]}
+        meet = [u for u in range(g.n) if all((c in code[u]) == (c in code[x]) for c in at)]
+        b_ok &= meet == [x]
+    return a_ok, b_ok
+
+
+def _spy_bfs(monkeypatch) -> list[int]:
+    """Record the vertex count of every ``median._bfs_table`` call."""
+    calls, real = [], median._bfs_table
+
+    def spy(n, arcs):
+        calls.append(n)
+        return real(n, arcs)
+
+    monkeypatch.setattr(median, "_bfs_table", spy)
+    return calls
+
+
+def _certified_graphs() -> list[tuple[str, MedianGraph]]:
+    rng = random.Random(2051)
+    factors = [
+        lambda: random_tree(rng.randint(2, 9), rng),
+        lambda: path_graph(rng.randint(1, 5)),
+        lambda: hypercube(rng.randint(1, 3)),
+    ]
+    out = []
+    while len(out) < 30:
+        p = rng.choice(factors)()
+        for _ in range(rng.randint(1, 2)):
+            p = product_graph(p, rng.choice(factors)())
+        if p.n <= 150:
+            out.append((f"product{len(out)}", p))
+    out += sorted(FIX.items())
+    for name, make in [
+        ("hex_chain_3", lambda: hex_chain_complex(3)),
+        ("square_chain_4", lambda: square_chain_complex(4)),
+        ("two_hexagons", two_hexagons_complex),
+        ("corner_squares", corner_squares_complex),
+        ("ngon_8", lambda: ngon_complex(8)),
+    ]:
+        out.append((f"dual_{name}", dual_cube_complex(make()).graph))
+    return out
+
+
+def test_hyperplane_table_matches_bfs_and_the_class_oracle(monkeypatch):
+    # products of trees, paths and cubes, the median fixtures and polygonal
+    # duals: the table, classes and sides come from the certified pass, and
+    # equal the BFS table and the edge-by-edge oracle
+    calls = _spy_bfs(monkeypatch)
+    for name, g in _certified_graphs():
+        g = _fresh(g)
+        assert (g.dist == _oracle_table(g)).all(), name
+        assert _certificate_parts(g) == (True, True), name
+        assert g.is_median().ok, name
+        edge_class, sides = bf.hyperplane_classes_brute(g)
+        data = g._hyperplane_data()
+        assert data["edge_class"].tolist() == edge_class, name
+        assert data["sides"].dtype == bool and (data["sides"] == sides).all(), name
+        assert data["class_edges"] == [
+            [e for e, c in enumerate(edge_class) if c == j] for j in range(len(sides))
+        ], name
+    assert calls == []
+
+
+def _cube4_subgraph() -> MedianGraph:
+    """An induced subgraph of Q4 whose square classes pass check (a) of the
+    certificate and fail check (b)."""
+    q = hypercube(4)
+    keep = {"0000", "0001", "0100", "0101", "1000", "1010", "1011", "1100", "1101", "1110", "1111"}
+    return MedianGraph(
+        sorted(keep),
+        [(q.ids[a], q.ids[b]) for a, b in q.edges if {q.ids[a], q.ids[b]} <= keep],
+    )
+
+
+@pytest.mark.parametrize(
+    "build,parts",
+    [
+        (lambda: cycle_graph(3), None),
+        (lambda: cycle_graph(5), None),
+        (lambda: cycle_graph(7), None),
+        (k23, None),
+        (lambda: cycle_graph(6), (False, True)),
+        (lambda: product_graph(cycle_graph(6), path_graph(1)), (False, True)),
+        (lambda: product_graph(cycle_graph(8), path_graph(1)), (False, True)),
+        (_cube4_subgraph, (True, False)),
+    ],
+    ids=["c3", "c5", "c7", "k23", "c6", "prism6", "prism8", "cube4_subgraph"],
+)
+def test_certificate_refuses_and_bfs_answers(build, parts, monkeypatch):
+    # odd cycles stop at the BFS tree and K_{2,3} at the squares; on C6 and
+    # the even prisms an edge flips several classes (a), and on the Q4
+    # subgraph (a) holds but some vertex's halfspaces meet in more than it (b)
+    calls = _spy_bfs(monkeypatch)
+    g = build()
+    if parts is not None:
+        assert _certificate_parts(g) == parts
+    assert g._certified_table() is None
+    assert "walls" not in g._cache
+    assert (g.dist == _oracle_table(g)).all()
+    assert calls == [g.n]
+    assert not g.is_median().ok
+
+
+def test_certified_non_median_graph_keeps_its_witness(monkeypatch):
+    # Q3 minus a vertex passes the certificate, so its table is read off the
+    # classes; recognition still counts the squares and names the triple
+    calls = _spy_bfs(monkeypatch)
+    g = _cube_minus_vertex()
+    assert _certificate_parts(g) == (True, True)
+    assert (g.dist == _oracle_table(g)).all()
+    verdict = g.is_median()
+    assert not verdict.ok and calls == []
+    assert len(bf.median_candidates(g, *verdict.witness)) != 1
+    with pytest.raises(NotMedianError):
+        g.sides
+
+
+def test_distance_pass_sets_connectivity_and_refuses_disconnected_input():
+    g = MedianGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    with pytest.raises(GraphInputError, match="disconnected"):
+        g.dist
+    assert g._cache["connected"] is False
+    g = grid_graph(2, 2)
+    g.dist
+    assert g._cache["connected"] is True
 
 
 def test_cube_corner_median():

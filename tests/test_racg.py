@@ -543,14 +543,15 @@ class TestJSequence:
         )
 
     def test_squares_are_listed_once_per_run(self, monkeypatch):
+        # every listing, as names or as masks, goes through _square_masks
         calls = []
-        real = DefiningGraph.induced_squares
+        real = DefiningGraph._square_masks
 
         def spy(self):
             calls.append(self)
             return real(self)
 
-        monkeypatch.setattr(DefiningGraph, "induced_squares", spy)
+        monkeypatch.setattr(DefiningGraph, "_square_masks", spy)
         for spec in (C4, C5, C4_PENDANT, TWO_SQUARES, K24):
             for seed in (SQUARES, LARGE_JOINS):
                 calls.clear()
