@@ -47,7 +47,8 @@ LINF = "linf"
 # median recognition above this many vertices is refused
 IS_MEDIAN_CAP = 4000
 
-# blocks of roots or sources keep their scratch tables near this many cells
+# blocks of rows, sources or neighbour gathers keep their scratch tables
+# near this many cells
 _BLOCK_CELLS = 1 << 20
 
 
@@ -119,23 +120,84 @@ def _lowest_labels(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label = up
 
 
+def _degree_blocks(
+    deg: np.ndarray, head: np.ndarray, width: int
+) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
+    """The vertices grouped by degree, for gathering a row of ``width``
+    cells from each neighbour: blocks (delta, xs, parts), where the vertices
+    xs all have degree delta and each part is a (len(xs), k) table of their
+    neighbours at k consecutive slots, the parts covering each slot once.
+    ``head`` lists the neighbours of vertex 0, then of vertex 1, and so on.
+    A gather of one part, len(xs) k width cells, stays within
+    ``_BLOCK_CELLS`` unless it is a single row; a vertex whose delta rows
+    alone exceed that has its slots split over several parts."""
+    start = np.r_[0, np.cumsum(deg)]
+    for delta in np.unique(deg[deg > 0]).tolist():
+        every = np.flatnonzero(deg == delta)
+        k = min(delta, max(1, _BLOCK_CELLS // width))
+        per = max(1, _BLOCK_CELLS // (k * width))
+        for i in range(0, len(every), per):
+            xs = every[i : i + per]
+            slot = start[xs][:, None] + np.arange(delta)
+            yield delta, xs, [head[slot[:, j : j + k]] for j in range(0, delta, k)]
+
+
 def _bfs_table(n: int, arcs: np.ndarray) -> np.ndarray:
     """All-pairs BFS distances (int32) of a connected graph on n vertices,
     given as a (k, 2) array holding each edge in both directions.
 
-    scipy is imported here, on first use, so importing cubekit does not load
-    it.  Above one block of sources the float64 scratch is a slice of n x n.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+    Every source's ball grows at once, 64 vertices to a machine word
+    (bit-parallel BFS, as in Akiba, Iwata & Yoshida, SIGMOD 2013).  Row v
+    of ``ball`` is the ball of radius t about v, packed into words whose
+    padding bits are set, and the ball of radius t + 1 is its OR with the
+    balls of v's neighbours, gathered by degree.  d(u, v) is the number of
+    radii t whose ball about u misses v, so each radius adds the complement
+    of ``ball`` to a bit-sliced counter (plane p holds bit p of every
+    count); the planes are unpacked once, at the end, and the loop stops
+    when every ball is full.
 
-    ones = np.ones(len(arcs), dtype=np.int8)
-    mat = csr_matrix((ones, (arcs[:, 0], arcs[:, 1])), shape=(n, n))
-    out = np.empty((n, n), dtype=np.int32)
-    block = max(1, _BLOCK_CELLS // n)
-    for s0 in range(0, n, block):
-        src = np.arange(s0, min(n, s0 + block)) if block < n else None
-        out[s0 : s0 + block] = shortest_path(mat, method="D", unweighted=True, indices=src)
+    Cost: (diameter + 1) (n + 2m) n / 64 word operations, and packed n x n
+    bit tables, two for the balls and one per counter bit, besides the
+    result.
+    """
+    if n == 1:
+        return np.zeros((1, 1), dtype=np.int32)
+    nw = -(-n // 64)
+    head = arcs[np.argsort(arcs[:, 0], kind="stable"), 1]
+    blocks = list(_degree_blocks(np.bincount(arcs[:, 0], minlength=n), head, nw))
+    ball = np.zeros((n, nw), dtype=np.uint64)
+    ball[:, -1] = ~np.uint64(0) << np.uint64(n % 64) if n % 64 else 0
+    v = np.arange(n)
+    ball[v, v >> 6] |= _word_bit(v)
+    grown = np.empty_like(ball)
+    planes: list[np.ndarray] = []
+    # a connected graph's balls are full by radius n - 1
+    for _ in range(n):
+        # count the vertices each ball misses: add the complement, carrying
+        # from plane to plane, and open a new plane for a carry out of the top
+        carry = ~ball
+        if not carry.any():
+            break
+        for plane in planes:
+            plane ^= carry
+            carry &= ~plane
+            if not carry.any():
+                break
+        else:
+            planes.append(carry)
+        np.copyto(grown, ball)
+        for _, xs, parts in blocks:
+            for nbrs in parts:
+                grown[xs] |= np.bitwise_or.reduce(ball[nbrs], axis=1)
+        ball, grown = grown, ball
+    out = np.zeros((n, n), dtype=np.int32)
+    rows = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, rows):
+        for p, plane in enumerate(planes):
+            bits = np.unpackbits(
+                plane[r0 : r0 + rows].view(np.uint8), axis=1, count=n, bitorder="little"
+            )
+            out[r0 : r0 + rows] |= np.left_shift(bits, p, dtype=np.int32)
     return out
 
 
@@ -457,7 +519,8 @@ class MedianGraph:
         exactly that edge's class, and (b) at each vertex the halfspaces on
         its side of the classes of its edges meet only in it.  Every median
         graph passes.  Graphs that fail (every non-bipartite graph, every
-        K_{2,3}, and more) get the table from ``_bfs_table``.
+        K_{2,3}, and more) get the table from ``_bfs_table``, a BFS from
+        every source at once on bit-packed balls.
         """
         if "dist" not in self._cache:
             table = self._certified_table()
@@ -477,7 +540,7 @@ class MedianGraph:
         lists those keys, so each 4-cycle appears twice.  A pair without a
         K_{2,3} has at most two common neighbours, so more than n (n - 1)
         paths hold a K_{2,3} and the paths of the tails past that count are
-        not listed.
+        not listed.  A tree has no 4-cycle, so none of its paths are listed.
         """
         if "slots" in self._cache:
             return self._cache["slots"]
@@ -490,6 +553,9 @@ class MedianGraph:
         tail, head = tail[order], head[order]
         deg = np.bincount(tail, minlength=n)
         stop = np.searchsorted(np.cumsum(deg * (deg - 1) // 2), n * (n - 1), "right")
+        if len(e) == n - 1:
+            # a connected graph with n - 1 edges is a tree: no 4-cycles
+            stop = -1
         i, j = _pairs_within(tail[tail <= stop], idx)
         key = head[i]
         del i
@@ -685,12 +751,16 @@ class MedianGraph:
 
         and u passes iff the sum equals the number of 4-cycles.  With d(u, .)
         known, k_ux = ((d(u, x) + 1) deg x - sum_{y ~ x} d(u, y)) / 2, since
-        every neighbour of x is one step nearer or farther.  Only the first
-        failing root is scanned pair by pair, for its witness.
+        every neighbour of x is one step nearer or farther.  The table is
+        symmetric, so the sums for every root at once are the sum of the
+        rows of x's neighbours, gathered for vertices of one degree at a
+        time (``_degree_blocks``).  Only the first failing root is scanned
+        pair by pair, for its witness.
 
         Cost: the distance table, whose pass also sorts the sum deg^2 / 2
-        paths v - x - w (the 4-cycle count and the K_{2,3} test), and O(n m)
-        for the counts; O(n^2) memory.
+        paths v - x - w (the 4-cycle count and the K_{2,3} test; a tree
+        has neither and sorts none), and O(n m) for the counts; O(n^2)
+        memory, with the gathers' scratch within ``_BLOCK_CELLS`` cells.
         """
         if "median_verdict" in self._cache:
             return self._cache["median_verdict"]
@@ -733,27 +803,20 @@ class MedianGraph:
         # each square is two pairs with two paths each; at every root the
         # down pairs must number exactly the squares (see is_median)
         squares = len(slots["diagonals"]) // 2
-        # the slots, sorted by tail, are the adjacency matrix in CSR form
-        from scipy.sparse import csr_matrix
-
-        deg = slots["deg"].astype(np.int32)
-        ones = np.ones(len(head), dtype=np.int32)
-        adj = csr_matrix((ones, head, np.r_[0, np.cumsum(deg)]), shape=(n, n))
-        block = max(1, _BLOCK_CELLS // n)
-        for r0 in range(0, n, block):
-            rows = d[r0 : r0 + block]
-            # k[r, x]: neighbours of x one step nearer root r0 + r; the
-            # others are one step farther, since the graph is bipartite
-            k = (rows + 1) * deg
-            k -= rows @ adj
+        down = np.zeros(n, dtype=np.int64)
+        for delta, xs, parts in _degree_blocks(slots["deg"], head, n):
+            # k[x, r]: neighbours of x one step nearer root r; the others
+            # are one step farther, since the graph is bipartite, and the
+            # table is symmetric, so row y of d holds d(r, y) for every r
+            k = (d[xs] + 1) * delta
+            for nbrs in parts:
+                k -= d[nbrs].sum(axis=1, dtype=np.int32)
             k //= 2
-            down = (k * (k - 1) // 2).sum(axis=1, dtype=np.int64)
-            bad = np.flatnonzero(down != squares)
-            if bad.size:
-                u = r0 + int(bad[0])
-                break
-        else:
+            down += (k * (k - 1) // 2).sum(axis=0, dtype=np.int64)
+        bad = np.flatnonzero(down != squares)
+        if not bad.size:
             return None
+        u = int(bad[0])
         # witness: the first down pair (v, w) at u, by x and then by slots,
         # with no common neighbour nearer u, so the up pair of no vertex
         row = d[u]

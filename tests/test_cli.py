@@ -249,8 +249,7 @@ def test_search_cap_defaults_are_the_library_constants():
 
 
 def test_import_does_not_load_scipy():
-    # scipy.sparse comes in with median recognition and scipy.sparse.csgraph
-    # with a BFS distance table, neither with the CLI
+    # cubekit imports nothing from scipy, even where scipy is installed
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, cubekit.cli; "
@@ -297,20 +296,29 @@ def test_bfs_table_only_where_the_certificate_fails(argv, code, bfs, files, caps
     assert bool(calls) == bfs
 
 
-def test_median_check_on_a_grid_leaves_csgraph_unloaded(files):
+def test_median_check_on_a_grid_leaves_scipy_unloaded(files):
+    # recognition, a reject, and the BFS tables of the linf metric and of a
+    # cone-off, all in one fresh process, load nothing from scipy
     src = Path(__file__).resolve().parent.parent / "src"
+    grid, k23, row = _grid_file(files), files("k", K23), files("r", "sub row : 0,0 1,0 2,0\n")
+    runs = [
+        ["median", "check", grid],
+        ["median", "check", k23],
+        ["median", "dist", grid, "0,0", "3,2", "--metric", "linf"],
+        ["coneoff", "build", grid, row],
+        ["diag", "delta", grid, "--metric", "linf"],
+    ]
     code = (
         "import sys; from cubekit import cli; "
-        f"code = cli.main(['median', 'check', {_grid_file(files)!r}]); "
-        "print(code, 'scipy.sparse' in sys.modules, "
-        "sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))"
+        f"codes = [cli.main(['--json', *argv]) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 True []"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 1, 0, 0, 0] []"
 
 
 class TestCachedParser:

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the package imports nothing beyond the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,27 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of imported modules that are neither in the standard
+    library nor numpy nor this package (relative imports are the package)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cubekit"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return sorted(found - allowed)
+
+
+def test_foreign_imports_are_found():
+    src = "import os, numpy.linalg\nfrom scipy.sparse import csr_matrix\nfrom . import median\n"
+    assert foreign_imports(src) == ["scipy"]
+    assert foreign_imports("def f():\n    import networkx as nx\n") == ["networkx"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_stdlib_and_numpy_are_imported(path):
+    assert foreign_imports(path.read_text()) == []

@@ -462,6 +462,115 @@ def test_certified_non_median_graph_keeps_its_witness(monkeypatch):
         g.sides
 
 
+# -- the bit-parallel BFS table -----------------------------------------------------
+
+
+def _arcs(g: MedianGraph) -> np.ndarray:
+    e = g._ends
+    return np.r_[e, e[:, ::-1]]
+
+
+def _bfs_cases() -> list[tuple[str, int, np.ndarray]]:
+    """(name, n, arcs) inputs of ``_bfs_table``: a single vertex, short
+    cycles, the certificate's refusals, a long path, seeded random connected
+    graphs (even ones bipartite), the linf adjacency of every median fixture,
+    and clique and apex cone-offs of a grid by its rows."""
+    graphs = [("single", MedianGraph(["a"], [])), ("path70", path_graph(70))]
+    graphs += [(f"c{k}", cycle_graph(k)) for k in range(3, 9)]
+    graphs += [("k23", k23()), ("c6_chord", c6_with_chord()), ("cube4_subgraph", _cube4_subgraph())]
+    rng = random.Random(2089)
+    for i in range(24):
+        n = rng.randint(2, 90)
+        parent = [0] + [rng.randrange(v) for v in range(1, n)]
+        depth = [0] * n
+        for v in range(1, n):
+            depth[v] = depth[parent[v]] + 1
+        edges = {(parent[v], v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = sorted(rng.sample(range(n), 2))
+            if i % 2 or (depth[a] - depth[b]) % 2:
+                edges.add((a, b))
+        ids = [str(v) for v in range(n)]
+        graphs.append((f"random{i}", MedianGraph(ids, [(ids[a], ids[b]) for a, b in edges])))
+    rows = {f"row{y}": [f"{x},{y}" for x in range(4)] for y in range(3)}
+    for kind in (diagnostics.CLIQUE, diagnostics.APEX):
+        graphs.append((f"coneoff_{kind}", diagnostics.cone_off(grid_graph(3, 2), rows, kind).graph))
+    cases = [(name, g.n, _arcs(g)) for name, g in graphs]
+    cases += [(f"linf_{name}", g.n, np.argwhere(g.linf_adjacency())) for name, g in sorted(FIX.items())]
+    return cases
+
+
+def _bfs_oracle(n: int, arcs: np.ndarray) -> np.ndarray:
+    adj = {v: set() for v in range(n)}
+    for a, b in arcs.tolist():
+        adj[a].add(b)
+    rows = [bf.bfs_dist(adj, u) for u in range(n)]
+    return np.array([[row[v] for v in range(n)] for row in rows])
+
+
+@pytest.mark.parametrize("cells", [None, 1, 150])
+def test_bfs_table_matches_the_oracle(cells, monkeypatch):
+    # the default blocks, one slot per gather, and a few vertices per gather
+    if cells is not None:
+        monkeypatch.setattr(median, "_BLOCK_CELLS", cells)
+    for name, n, arcs in _bfs_cases():
+        table = median._bfs_table(n, arcs)
+        assert table.dtype == np.int32, name
+        assert (table == _bfs_oracle(n, arcs)).all(), name
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 1 << 20])
+def test_degree_blocks_cover_every_slot_within_the_cell_budget(cells, monkeypatch):
+    monkeypatch.setattr(median, "_BLOCK_CELLS", cells)
+    rng = random.Random(2091)
+    deg = np.array([rng.choice([0, 1, 2, 2, 3, 9, 30]) for _ in range(60)])
+    head = np.array([rng.randrange(60) for _ in range(deg.sum())])
+    start = np.r_[0, np.cumsum(deg)]
+    want = {x: head[start[x] : start[x + 1]].tolist() for x in range(60) if deg[x]}
+    for width in (1, 5, 40):
+        seen = {}
+        for delta, xs, parts in median._degree_blocks(deg, head, width):
+            assert (deg[xs] == delta).all()
+            for part in parts:
+                assert part.shape[0] == len(xs)
+                assert part.size * width <= cells or part.size == 1, (width, part.shape)
+            for x, row in zip(xs.tolist(), np.hstack(parts).tolist()):
+                assert x not in seen
+                seen[x] = row
+        assert seen == want, width
+
+
+def _star(k: int) -> MedianGraph:
+    return MedianGraph([str(i) for i in range(k + 1)], [("0", str(i)) for i in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+def test_square_count_splits_the_slots_of_high_degree_vertices(cells, monkeypatch):
+    # K_{1,k} x P_2 and K_{1,k} x P_3, intact, less any one edge and with
+    # a few chords, counted with the centres' neighbour rows gathered a few
+    # slots at a time: the same triples as the per-root pair scan
+    monkeypatch.setattr(median, "_BLOCK_CELLS", cells)
+    rng = random.Random(2093)
+    rules = set()
+    for k, length in [(7, 1), (6, 2)]:
+        p = product_graph(_star(k), path_graph(length))
+        edges = [(p.ids[a], p.ids[b]) for a, b in p.edges]
+        variants = [edges] + [edges[:i] + edges[i + 1 :] for i in range(len(edges))]
+        far = [(p.ids[a], p.ids[b]) for a, b in itertools.combinations(range(p.n), 2) if p.dist[a, b] >= 2]
+        variants += [edges + [chord] for chord in rng.sample(far, 6)]
+        for es in variants:
+            g = MedianGraph(p.ids, es)
+            if not g.is_connected:
+                continue
+            triple = g._median_failure()
+            assert triple == bf.median_failure_pairs_brute(g), (k, length, es)
+            verdict = g.is_median()
+            if triple is not None:
+                assert len(bf.median_candidates(g, *verdict.witness)) != 1
+                rules.update(r for r in ("bipartite", "quadrangle", "k23") if _witness_shape(g, r))
+    assert "quadrangle" in rules
+
+
 def test_distance_pass_sets_connectivity_and_refuses_disconnected_input():
     g = MedianGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     with pytest.raises(GraphInputError, match="disconnected"):
