@@ -14,6 +14,13 @@ computation.
 
 ``main`` may be called any number of times in one process; the argparse
 tree is built on the first call and reused.
+
+Importing this module, or building the tree, loads no layer and no numpy:
+the constants the tree needs come from ``cubekit.errors``, and each handler
+imports the layer names it uses when it runs.  So ``--version``, ``--help``
+and a refused command line load no layer, and a subcommand loads only its
+own layers.  Handlers read those names from their layers at every call, so
+a layer attribute rebound later (a test patch, a tracer) is honoured.
 """
 
 from __future__ import annotations
@@ -28,43 +35,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .diagnostics import (
+from .errors import (
     APEX,
     CLIQUE,
     EXACT,
     GRID_NODE_CAP,
-    RECT_STATE_CAP,
-    bigon_thinness,
-    cone_off,
-    cycle_probe,
-    delta,
-    fineness_certificate,
-    max_grid,
-    max_thick_rectangle,
-)
-from .errors import ConsistencyError, CubekitError, SizeCapError, ValidationError
-from .formats import parse_graph, parse_polygons, parse_subsets, serialize_graph
-from .median import L1, LINF, MedianGraph
-from .polygonal import (
-    PolygonalComplex,
-    classify_maximal_cubes,
-    dual_cube_complex,
-    dual_projection,
-    polygonal_sc_check,
-    separation_transfer,
-    walls,
-)
-from .racg import (
+    L1,
     LARGE_JOINS,
+    LINF,
+    RECT_STATE_CAP,
     SQUARES,
-    DefiningGraph,
-    ball,
-    contracting_generators,
-    j_sequence,
-    normal_form,
-    relhyp_report,
+    ConsistencyError,
+    CubekitError,
+    SizeCapError,
+    ValidationError,
 )
-from .smallcancel import check_small_cancellation, presentation_from_text
 
 ANCHORS = {
     "median check": "a graph is median when every vertex triple has exactly one median vertex",
@@ -169,19 +154,28 @@ def _emit(report: AnalysisReport, as_json: bool) -> int:
     return 0
 
 
-def _load_graph(path: str) -> tuple[MedianGraph, dict]:
+def _load_graph(path: str):
+    """The graph in ``path`` as a ``MedianGraph``, and the file's digest."""
+    from .formats import parse_graph
+    from .median import MedianGraph
+
     text, digest = _read(path)
     vs, es = parse_graph(text)
     return MedianGraph(vs, es), digest
 
 
-def _load_median(path: str) -> tuple[MedianGraph, dict]:
+def _load_median(path: str):
+    """As `_load_graph`, refusing a graph that is not median."""
     g, digest = _load_graph(path)
     g.require_median()
     return g, digest
 
 
-def _load_complex(path: str) -> tuple[PolygonalComplex, dict]:
+def _load_complex(path: str):
+    """The polygonal complex in ``path``, and the file's digest."""
+    from .formats import parse_polygons
+    from .polygonal import PolygonalComplex
+
     text, digest = _read(path)
     return PolygonalComplex.from_raw(parse_polygons(text)), digest
 
@@ -270,6 +264,8 @@ def _cmd_median_dist(args):
 
 
 def _cmd_diag_grid(args):
+    from .diagnostics import max_grid
+
     cap = _cap(args.cap)
     g, digest = _load_median(args.file)
     rep = max_grid(g, cap=cap)
@@ -284,6 +280,8 @@ def _cmd_diag_grid(args):
 
 
 def _cmd_diag_rect(args):
+    from .diagnostics import max_thick_rectangle
+
     cap = _cap(args.cap)
     g, digest = _load_median(args.file)
     rep = max_thick_rectangle(g, cap=cap)
@@ -297,6 +295,8 @@ def _cmd_diag_rect(args):
 
 
 def _cmd_diag_delta(args):
+    from .diagnostics import delta
+
     g, digest = _load_median(args.file)
     rep = delta(g, metric=_metric(args.metric))
     return [digest], {"metric": args.metric}, [
@@ -305,6 +305,8 @@ def _cmd_diag_delta(args):
 
 
 def _cmd_diag_bigon(args):
+    from .diagnostics import bigon_thinness
+
     g, digest = _load_median(args.file)
     rep = bigon_thinness(g, metric=_metric(args.metric))
     return [digest], {"metric": args.metric}, [
@@ -313,6 +315,9 @@ def _cmd_diag_bigon(args):
 
 
 def _cmd_coneoff_build(args):
+    from .diagnostics import cone_off
+    from .formats import parse_subsets
+
     g, dg = _load_median(args.graph)
     text, ds = _read(args.subs)
     family = parse_subsets(text)
@@ -332,6 +337,9 @@ def _cmd_coneoff_build(args):
 
 
 def _cmd_coneoff_fineness(args):
+    from .diagnostics import fineness_certificate
+    from .formats import parse_subsets
+
     g, dg = _load_median(args.graph)
     text, ds = _read(args.subs)
     cert = fineness_certificate(g, parse_subsets(text))
@@ -342,6 +350,9 @@ def _cmd_coneoff_fineness(args):
 
 
 def _cmd_coneoff_probe(args):
+    from .diagnostics import cone_off, cycle_probe
+    from .formats import parse_subsets
+
     g, dg = _load_median(args.graph)
     text, ds = _read(args.subs)
     cone = cone_off(g, parse_subsets(text), kind=args.kind)
@@ -353,13 +364,19 @@ def _cmd_coneoff_probe(args):
     }, [_result("cycle_count", count, method)], None
 
 
-def _load_defining(path: str) -> tuple[DefiningGraph, dict]:
+def _load_defining(path: str):
+    """The defining graph in ``path``, and the file's digest."""
+    from .formats import parse_graph
+    from .racg import DefiningGraph
+
     text, digest = _read(path)
     vs, es = parse_graph(text)
     return DefiningGraph(vs, es), digest
 
 
 def _cmd_racg_nf(args):
+    from .racg import normal_form
+
     dg, digest = _load_defining(args.file)
     nf = normal_form(dg, args.word)
     return [digest], {"word": list(args.word)}, [
@@ -369,6 +386,8 @@ def _cmd_racg_nf(args):
 
 
 def _cmd_racg_ball(args):
+    from .racg import ball
+
     dg, digest = _load_defining(args.file)
     b = ball(dg, args.radius)
     return [digest], {"radius": args.radius}, [
@@ -390,6 +409,8 @@ def _cmd_racg_squares(args):
 
 
 def _cmd_racg_contracting(args):
+    from .racg import contracting_generators
+
     dg, digest = _load_defining(args.file)
     rep = contracting_generators(dg)
     return [digest], {}, [
@@ -400,6 +421,8 @@ def _cmd_racg_contracting(args):
 
 
 def _cmd_racg_jdecomp(args):
+    from .racg import j_sequence
+
     dg, digest = _load_defining(args.file)
     rep = j_sequence(dg, seed=args.seed)
     return [digest], {"seed": args.seed}, [
@@ -410,6 +433,8 @@ def _cmd_racg_jdecomp(args):
 
 
 def _cmd_racg_relhyp(args):
+    from .racg import relhyp_report
+
     dg, digest = _load_defining(args.file)
     rep = relhyp_report(dg, seed=args.seed)
     return [digest], {"seed": args.seed}, [
@@ -421,6 +446,8 @@ def _cmd_racg_relhyp(args):
 
 
 def _cmd_sc_check(args):
+    from .smallcancel import check_small_cancellation, presentation_from_text
+
     text, digest = _read(args.file)
     values = None
     if args.values:
@@ -464,6 +491,9 @@ def _cmd_sc_check(args):
 
 
 def _cmd_poly_validate(args):
+    from .formats import parse_polygons
+    from .polygonal import PolygonalComplex
+
     text, digest = _read(args.file)
     raw = parse_polygons(text)
     try:
@@ -482,6 +512,8 @@ def _cmd_poly_validate(args):
 
 
 def _cmd_poly_sc(args):
+    from .polygonal import polygonal_sc_check
+
     x, digest = _load_complex(args.file)
     rep = polygonal_sc_check(
         x, _lambda(args.lam), n_cover=args.cover, n_link=args.link
@@ -516,6 +548,8 @@ def _cmd_poly_sc(args):
 
 
 def _cmd_poly_walls(args):
+    from .polygonal import walls
+
     x, digest = _load_complex(args.file)
     ws = walls(x)
     listing = [
@@ -535,6 +569,8 @@ def _cmd_poly_walls(args):
 
 
 def _cmd_poly_dual(args):
+    from .polygonal import dual_cube_complex
+
     x, digest = _load_complex(args.file)
     dc = dual_cube_complex(x)
     g = dc.graph
@@ -556,6 +592,9 @@ def _cmd_poly_dual(args):
 
 
 def _render_dual_text(args) -> int:
+    from .formats import serialize_graph
+    from .polygonal import dual_cube_complex
+
     x, _ = _load_complex(args.file)
     dc = dual_cube_complex(x)
     g = dc.graph
@@ -572,6 +611,8 @@ def _render_dual_text(args) -> int:
 
 
 def _cmd_poly_classify(args):
+    from .polygonal import classify_maximal_cubes, dual_cube_complex
+
     x, digest = _load_complex(args.file)
     dc = dual_cube_complex(x)
     rep = classify_maximal_cubes(dc)
@@ -597,6 +638,13 @@ def _cmd_poly_classify(args):
 
 
 def _cmd_poly_project(args):
+    from .polygonal import (
+        classify_maximal_cubes,
+        dual_cube_complex,
+        dual_projection,
+        separation_transfer,
+    )
+
     x, digest = _load_complex(args.file)
     dc = dual_cube_complex(x)
     rep = classify_maximal_cubes(dc)
@@ -770,7 +818,7 @@ def _fail(e: Exception) -> int:
     """Report an error; its exit code tells a bug and a cap hit from bad input."""
     if not isinstance(e, (CubekitError, OSError, ValueError)):
         # no layer raises any other exception on purpose; imported here so
-        # that importing the CLI stays as cheap as before
+        # that only a call that reports a bug pays for it
         import traceback
 
         traceback.print_exc()

@@ -35,27 +35,24 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    APEX,
+    CLIQUE,
+    EXACT,
+    GRID_NODE_CAP,
+    L1,
+    LOWER_BOUND,
+    RECT_STATE_CAP,
     ConsistencyError,
     GraphInputError,
     SizeCapError,
     ValidationError,
 )
-from .median import L1, MedianGraph, WallSystem
-
-CLIQUE = "clique"
-APEX = "apex"
-EXACT = "exact"
-LOWER_BOUND = "lower_bound"
+from .median import MedianGraph, WallSystem
 
 # exact delta and bigon scans: pruned, grids and Q8 in l1 take under 0.1 s
 # at this size, but Q8 bigons in linf, which pruning cannot cut, take 4 s at
 # 256 vertices (measured table in CHANGES.md)
 DELTA_SIZE_LIMIT = 400
-GRID_NODE_CAP = 200_000
-# separation masks examined by max_thick_rectangle: the 32x32-vertex grid
-# (247 008 masks) stays exact, and a capped run on 4 000 vertices adds about
-# 2 s to the hyperplane tables (measured table in CHANGES.md)
-RECT_STATE_CAP = 250_000
 CYCLE_COUNT_CAP = 10**6
 
 

@@ -1,4 +1,34 @@
-"""Exception types shared across the package."""
+"""Exception types and the string and cap constants shared across the package.
+
+The constants live here, the one module every layer imports, so that the
+command line can build its parser without importing a layer (or numpy).
+Each layer re-exports the ones it uses: ``cubekit.median.L1`` and
+``cubekit.diagnostics.GRID_NODE_CAP`` are these objects.
+"""
+
+# metrics of median graphs (median)
+L1 = "l1"
+LINF = "linf"
+
+# result methods and cone-off kinds (diagnostics)
+EXACT = "exact"
+LOWER_BOUND = "lower_bound"
+CLIQUE = "clique"
+APEX = "apex"
+
+# grid search nodes visited by grid_search and walls_in_grids: a node costs
+# 1-2.4 us on Coxeter balls of 720-4 935 walls, so a capped search stops
+# within about 2.5 s; walls_in_grids(n = 2) on the C5 ball at r = 6 is exact
+# at 258 401 nodes (measured table in CHANGES.md)
+GRID_NODE_CAP = 1_000_000
+# separation masks examined by max_thick_rectangle: the 32x32-vertex grid
+# (247 008 masks) stays exact, and a capped run on 4 000 vertices adds about
+# 2 s to the hyperplane tables (measured table in CHANGES.md)
+RECT_STATE_CAP = 250_000
+
+# seeds of the join decomposition (racg)
+SQUARES = "squares"
+LARGE_JOINS = "large_joins"
 
 
 class CubekitError(Exception):

@@ -35,14 +35,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    L1,
+    LINF,
     ConsistencyError,
     GraphInputError,
     NotMedianError,
     SizeCapError,
 )
-
-L1 = "l1"
-LINF = "linf"
 
 # median recognition above this many vertices is refused
 IS_MEDIAN_CAP = 4000

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, GraphInputError, SizeCapError
+from .errors import LARGE_JOINS, SQUARES, ConsistencyError, GraphInputError, SizeCapError
 from .median import _BLOCK_CELLS, MedianGraph, UnionFind, WallSystem
-
-SQUARES = "squares"
-LARGE_JOINS = "large_joins"
 
 BALL_VERTEX_CAP = 20000
 # closed join sides (intersections of generator links) in maximal_large_joins,

@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import GraphInputError, ValidationError
 from .formats import (
     PresentationFile,
@@ -496,41 +494,78 @@ def _cprime(fam: SymmetrizedFamily, lam: Fraction) -> CPrimeVerdict:
     return CPrimeVerdict(True, lam, None)
 
 
-def _closed_walk(adj: np.ndarray, h: int):
-    """A length-h closed walk in a boolean digraph, or None."""
-    n = adj.shape[0]
-    if n == 0:
+def _closed_walk(succ: list[int], h: int):
+    """A length-h closed walk in a digraph, or None.
+
+    ``succ[i]`` is the bitmask of the successors of i.  ``reach[k][i]`` is
+    the set of vertices i reaches in exactly k steps: the OR of
+    ``reach[k - 1][j]`` over the successors j of i.  The walk starts at the
+    lowest i in ``reach[h][i]`` and steps each time to the lowest successor
+    that reaches the start in exactly the steps left.
+    """
+    heads = []
+    for row in succ:
+        out = []
+        while row:
+            low = row & -row
+            out.append(low.bit_length() - 1)
+            row ^= low
+        heads.append(out)
+    reach = [[1 << i for i in range(len(succ))]]
+    for _ in range(h):
+        prev = reach[-1]
+        level = []
+        for out in heads:
+            row = 0
+            for j in out:
+                row |= prev[j]
+            level.append(row)
+        reach.append(level)
+    start = next((i for i, row in enumerate(reach[h]) if row >> i & 1), None)
+    if start is None:
         return None
-    powers = [np.eye(n, dtype=bool), adj]
-    for _ in range(2, h + 1):
-        powers.append((powers[-1].astype(np.uint8) @ adj.astype(np.uint8)) > 0)
-    diag = np.nonzero(np.diag(powers[h]))[0]
-    if diag.size == 0:
-        return None
-    start = int(diag[0])
     walk = [start]
     cur = start
     for remaining in range(h - 1, 0, -1):
-        nxt = np.nonzero(adj[cur] & powers[remaining][:, start])[0]
-        cur = int(nxt[0])
+        cur = next(j for j in heads[cur] if reach[remaining][j] >> start & 1)
         walk.append(cur)
     return walk
 
 
+def _junction_rows(fam: SymmetrizedFamily) -> list[int]:
+    """Successor bitmasks of the members: s follows r when the junction r s
+    cancels a letter and s is not the inverse of r."""
+    mem = fam.members
+    index = {w: i for i, w in enumerate(mem)}
+    starting = {}
+    for j, w in enumerate(mem):
+        starting[w[0]] = starting.get(w[0], 0) | 1 << j
+    return [
+        starting.get(-w[-1], 0) & ~(1 << index[_inv_free(w)]) for w in mem
+    ]
+
+
+def _cancel_rows(p) -> list[int]:
+    """Successor bitmasks of the relators as given: s follows r when the last
+    letter of r and the first of s lie in one factor and multiply to 1."""
+    factors = p.factors
+    rows = []
+    for r in p.relators:
+        fi, el = r[-1]
+        row = 0
+        for j, s in enumerate(p.relators):
+            fj, fl = s[0]
+            if fi == fj and factors[fi].is_identity(factors[fi].mul(el, fl)):
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
 def _t_free_group(fam: SymmetrizedFamily, q: int) -> TVerdict:
     mem = fam.members
-    n = len(mem)
-    index = {w: i for i, w in enumerate(mem)}
-    inv_of = [index[_inv_free(w)] for w in mem]
-    first = [w[0] for w in mem]
-    last = [w[-1] for w in mem]
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if last[i] == -first[j] and j != inv_of[i]:
-                adj[i, j] = True
+    succ = _junction_rows(fam)
     for h in range(3, q):
-        walk = _closed_walk(adj, h)
+        walk = _closed_walk(succ, h)
         if walk is not None:
             return TVerdict(
                 False,
@@ -548,15 +583,7 @@ def _t_free_product(fam: SymmetrizedFamily, q: int) -> TVerdict:
     p = fam.presentation
     factors = p.factors
     rel = p.relators
-    n = len(rel)
-    adj = np.zeros((n, n), dtype=bool)
-    for i, r in enumerate(rel):
-        fi, el = r[-1]
-        for j, s in enumerate(rel):
-            fj, fl = s[0]
-            if fi == fj and factors[fi].is_identity(factors[fi].mul(el, fl)):
-                adj[i, j] = True
-    walk = _closed_walk(adj, 3)
+    walk = _closed_walk(_cancel_rows(p), 3)
     if walk is not None:
         return TVerdict(
             False,

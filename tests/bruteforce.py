@@ -1057,6 +1057,30 @@ def sc_max_piece_brute(members, fits):
     return best
 
 
+def closed_walk_brute(adj: np.ndarray, h: int):
+    """A length-h closed walk in a boolean digraph, or None, from boolean
+    matrix powers: the lowest start on the diagonal of adj^h, then at each
+    step the lowest successor with a walk of the remaining length back.
+    Walk counts are int64: a uint8 product wraps to 0 at 256 walks."""
+    n = adj.shape[0]
+    if n == 0:
+        return None
+    powers = [np.eye(n, dtype=bool), adj]
+    for _ in range(2, h + 1):
+        powers.append((powers[-1].astype(np.int64) @ adj.astype(np.int64)) > 0)
+    diag = np.nonzero(np.diag(powers[h]))[0]
+    if diag.size == 0:
+        return None
+    start = int(diag[0])
+    walk = [start]
+    cur = start
+    for remaining in range(h - 1, 0, -1):
+        nxt = np.nonzero(adj[cur] & powers[remaining][:, start])[0]
+        cur = int(nxt[0])
+        walk.append(cur)
+    return walk
+
+
 # polygonal complex oracles
 
 

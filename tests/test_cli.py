@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cubekit import cli, diagnostics, median, polygonal
+from cubekit import cli, diagnostics, median, polygonal, racg
 from cubekit.errors import ConsistencyError
 from cubekit.formats import parse_graph, serialize_graph
 from cubekit.median import MedianGraph
@@ -169,7 +169,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise ConsistencyError("cross-check failed")
 
-        monkeypatch.setattr(cli, "delta", broken)
+        monkeypatch.setattr(diagnostics, "delta", broken)
         assert cli.main(["diag", "delta", files("g", SQUARE)]) == 3
         assert "cross-check failed" in capsys.readouterr().err
 
@@ -177,7 +177,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise IndexError("index 7 out of range")
 
-        monkeypatch.setattr(cli, "delta", broken)
+        monkeypatch.setattr(diagnostics, "delta", broken)
         assert cli.main(["diag", "delta", files("g", SQUARE)]) == 3
         err = capsys.readouterr().err
         assert "internal error: IndexError: index 7 out of range" in err
@@ -246,6 +246,14 @@ def test_search_cap_defaults_are_the_library_constants():
     rect = parser.parse_args(["diag", "rect", "g"])
     assert grid.cap == diagnostics.GRID_NODE_CAP
     assert rect.cap == diagnostics.RECT_STATE_CAP
+
+
+@pytest.mark.parametrize("op, name", [("grid", "GRID_NODE_CAP"), ("rect", "RECT_STATE_CAP")])
+def test_search_cap_help_prints_the_library_default(op, name, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["diag", op, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {getattr(diagnostics, name)})" in text
 
 
 def test_import_does_not_load_scipy():
@@ -371,7 +379,7 @@ class TestCachedParser:
 
         path = files("g", SQUARE)
         assert cli.main(["diag", "delta", path]) == 0
-        monkeypatch.setattr(cli, "delta", broken)
+        monkeypatch.setattr(diagnostics, "delta", broken)
         assert cli.main(["diag", "delta", path]) == 3
         assert "cross-check failed" in capsys.readouterr().err
 
@@ -603,13 +611,13 @@ class TestRacgCommands:
 
     def test_squares_are_searched_once(self, files, capsys, monkeypatch):
         calls = []
-        real = cli.DefiningGraph.induced_squares
+        real = racg.DefiningGraph.induced_squares
 
         def spy(dg):
             calls.append(dg)
             return real(dg)
 
-        monkeypatch.setattr(cli.DefiningGraph, "induced_squares", spy)
+        monkeypatch.setattr(racg.DefiningGraph, "induced_squares", spy)
         _, rep = run_json(capsys, ["racg", "squares", files("g", SQUARE)])
         results = {r["quantity"]: r for r in rep["results"]}
         assert results["square_vertices"]["value"] == ["a", "b", "c", "d"]
@@ -750,7 +758,6 @@ class TestPolyCommands:
 
         real = polygonal.dual_projection
         monkeypatch.setattr(polygonal, "dual_projection", spy)
-        monkeypatch.setattr(cli, "dual_projection", spy)
         path = files("h", HEX_POLY)
         _, rep = run_json(capsys, ["poly", "project", path, "o000", "o111"])
         assert calls == ["o000", "o111"]

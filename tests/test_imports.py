@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module, and
-the package imports nothing beyond the standard library and numpy."""
+"""Every name a module of the package imports is used in that module, the
+package imports nothing beyond the standard library and numpy, and a fresh
+process running a command line call loads only its subcommand's layers."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +66,60 @@ def test_foreign_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_stdlib_and_numpy_are_imported(path):
     assert foreign_imports(path.read_text()) == []
+
+
+LAYERS = ("median", "diagnostics", "racg", "smallcancel", "polygonal", "formats")
+
+
+def run_fresh(*argvs) -> tuple[list, set[str]]:
+    """Exit codes of ``cli.main`` on each argv, run in one fresh interpreter,
+    and the modules of this package and of numpy loaded by then."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from cubekit import cli\n"
+        "codes = []\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            codes.append(cli.main(argv))\n"
+        "        except SystemExit as e:\n"
+        "            codes.append(e.code)\n"
+        "print(codes)\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('cubekit', 'numpy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = proc.stdout.splitlines()[-2:]
+    return ast.literal_eval(codes), set(modules.split())
+
+
+def loaded_layers(modules: set[str]) -> set[str]:
+    return {layer for layer in LAYERS if f"cubekit.{layer}" in modules}
+
+
+def test_cli_import_version_help_and_usage_errors_load_no_layer():
+    codes, modules = run_fresh(
+        ["--version"], ["--help"], ["diag", "grid", "--help"], ["poly", "bogus"]
+    )
+    assert codes == [0, 0, 0, 2]
+    assert modules == {"cubekit", "cubekit.cli", "cubekit.errors"}
+
+
+def test_sc_check_loads_no_numpy(tmp_path):
+    path = tmp_path / "g.pres"
+    path.write_text("generators a b\nparam n = 1,2,3\nrelator (a^n b^n)^5\n")
+    codes, modules = run_fresh(["--json", "sc", "check", str(path)])
+    assert codes == [0]
+    assert loaded_layers(modules) == {"smallcancel", "formats"}
+    assert not any(m.split(".")[0] == "numpy" for m in modules)
+
+
+def test_median_check_loads_only_median_and_formats(tmp_path):
+    path = tmp_path / "g.graph"
+    path.write_text("".join(f"vertex {v}\n" for v in "abcd") + "edge a b\nedge b c\nedge c d\nedge d a\n")
+    codes, modules = run_fresh(["--json", "median", "check", str(path)])
+    assert codes == [0]
+    assert loaded_layers(modules) == {"median", "formats"}

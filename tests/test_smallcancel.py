@@ -6,11 +6,14 @@ tests/bruteforce.py; verdict fixtures reproduce the documented example
 families.
 """
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bruteforce import (
+    closed_walk_brute,
     fg_fits_brute,
     fp_concat_brute,
     fp_fits_brute,
@@ -29,8 +32,11 @@ from cubekit.smallcancel import (
     pieces,
     presentation_from_text,
     symmetrize,
+    _cancel_rows,
+    _closed_walk,
     _inv_free,
     _inv_product,
+    _junction_rows,
     _rotate_product,
     _uses_param,
 )
@@ -521,6 +527,95 @@ class TestTFreeProduct:
         assert LETTER_BOUNDARY_NOTE in v.notes
         vg = check_small_cancellation(presentation_from_text(fixture_g(5)), QUARTER)
         assert vg.notes == ()
+
+
+# relators whose junctions cancel around a 3-cycle (the first three) and a
+# 2-cycle (the fourth and fifth)
+CANCELLING_CYCLES = (
+    "factor P cyclic 5 a\nfactor Q cyclic 5 b\nfactor R cyclic 5 c\n"
+    "relator a^4 b\nrelator b^4 c\nrelator c^4 a\n"
+    "relator b^4 a^2\nrelator a^3 b\nrelator a b^2\n"
+)
+
+
+def bool_matrix(rows: list[int]) -> np.ndarray:
+    n = len(rows)
+    return np.array(
+        [[rows[i] >> j & 1 for j in range(n)] for i in range(n)], dtype=bool
+    ).reshape(n, n)
+
+
+class TestClosedWalk:
+    """The bitmask reach rows find the same walk as boolean matrix powers."""
+
+    def test_random_digraphs_match_matrix_powers(self):
+        rng = random.Random(7)
+        found = 0
+        for n in (0, 1, 2, 3, 5, 8, 13, 21, 30):
+            for density in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0):
+                for _ in range(3):
+                    rows = [
+                        sum(1 << j for j in range(n) if rng.random() < density)
+                        for _ in range(n)
+                    ]
+                    adj = bool_matrix(rows)
+                    for h in range(1, 6):
+                        walk = _closed_walk(rows, h)
+                        assert walk == closed_walk_brute(adj, h), (n, density, h)
+                        found += walk is not None
+        assert found > 300
+
+    def test_walk_is_closed_and_follows_edges(self):
+        rows = [0b010, 0b100, 0b001]
+        assert _closed_walk(rows, 3) == [0, 1, 2]
+        assert _closed_walk(rows, 2) is None
+        assert _closed_walk([], 3) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            fixture_g(4, "1,2,3"),
+            fixture_g(5, "1,2,3"),
+            fixture_g(3, "1,2,3,4"),
+            fixture_g(5, "1"),
+            TRIANGLE,
+            FOUR_CHAIN,
+        ],
+    )
+    def test_free_group_families_match_matrix_powers(self, text):
+        fam = symmetrize(presentation_from_text(text))
+        mem = fam.members
+        rows = _junction_rows(fam)
+        assert bool_matrix(rows).tolist() == [
+            [r[-1] == -s[0] and s != _inv_free(r) for s in mem] for r in mem
+        ]
+        for h in range(1, 6):
+            assert _closed_walk(rows, h) == closed_walk_brute(bool_matrix(rows), h)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            fixture_h(orders, 5, values)
+            for orders in [(4, 4, 4, 4), (5, 6, 7, 8), (3, 5, 5, 5), (2, 2, 2, 2)]
+            for values in ["1", "1,2", "1,2,3"]
+        ]
+        + [CANCELLING_CYCLES],
+    )
+    def test_free_product_families_match_matrix_powers(self, text):
+        p = presentation_from_text(text)
+        factors = p.factors
+
+        def cancels(r, s):
+            fi, el = r[-1]
+            fj, fl = s[0]
+            return fi == fj and factors[fi].is_identity(factors[fi].mul(el, fl))
+
+        rows = _cancel_rows(p)
+        assert bool_matrix(rows).tolist() == [
+            [cancels(r, s) for s in p.relators] for r in p.relators
+        ]
+        for h in range(1, 6):
+            assert _closed_walk(rows, h) == closed_walk_brute(bool_matrix(rows), h)
 
 
 class TestVerdictShape:
