@@ -180,10 +180,6 @@ def _load_complex(path: str):
     return PolygonalComplex.from_raw(parse_polygons(text)), digest
 
 
-def _metric(name: str) -> str:
-    return LINF if name == "linf" else L1
-
-
 def _lambda(text: str) -> Fraction:
     """``--lambda`` as an exact rational; a value that does not parse is bad input."""
     try:
@@ -255,8 +251,7 @@ def _cmd_median_cubes(args):
 
 def _cmd_median_dist(args):
     g, digest = _load_median(args.file)
-    m = _metric(args.metric)
-    d = g.dist_matrix(m)
+    d = g.dist_matrix(args.metric)
     ix, iy = g.indices_of([args.x, args.y])
     return [digest], {"metric": args.metric, "x": args.x, "y": args.y}, [
         _result("distance", int(d[ix, iy]))
@@ -298,7 +293,7 @@ def _cmd_diag_delta(args):
     from .diagnostics import delta
 
     g, digest = _load_median(args.file)
-    rep = delta(g, metric=_metric(args.metric))
+    rep = delta(g, metric=args.metric)
     return [digest], {"metric": args.metric}, [
         _result("delta", rep.value, rep.method, rep.witness)
     ], None
@@ -308,7 +303,7 @@ def _cmd_diag_bigon(args):
     from .diagnostics import bigon_thinness
 
     g, digest = _load_median(args.file)
-    rep = bigon_thinness(g, metric=_metric(args.metric))
+    rep = bigon_thinness(g, metric=args.metric)
     return [digest], {"metric": args.metric}, [
         _result("bigon_thinness", rep.value, rep.method, rep.witness)
     ], None
@@ -682,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = root.add_subparsers(dest="module", required=True)
 
     def metric_flag(p):
-        p.add_argument("--metric", choices=["l1", "linf"], default="l1")
+        p.add_argument("--metric", choices=[L1, LINF], default=L1)
 
     median = subs.add_parser("median").add_subparsers(dest="op", required=True)
     p = median.add_parser("check")

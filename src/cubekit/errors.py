@@ -1,9 +1,12 @@
-"""Exception types and the string and cap constants shared across the package.
+"""Exception types, the string and cap constants shared across the package,
+and the one union-find.
 
 The constants live here, the one module every layer imports, so that the
 command line can build its parser without importing a layer (or numpy).
 Each layer re-exports the ones it uses: ``cubekit.median.L1`` and
-``cubekit.diagnostics.GRID_NODE_CAP`` are these objects.
+``cubekit.diagnostics.GRID_NODE_CAP`` are these objects.  ``UnionFind``
+lives here for the same reason: ``racg`` and ``polygonal`` both use it, and
+``racg`` loads no numpy until it builds a ball.
 """
 
 # metrics of median graphs (median)
@@ -66,3 +69,21 @@ class SizeCapError(CubekitError, RuntimeError):
 
 class ConsistencyError(CubekitError, RuntimeError):
     """An internal cross-check failed; indicates a bug, never bad input."""
+
+
+class UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx

@@ -62,24 +62,6 @@ def ram_bound(d: int) -> int:
     return math.comb(2 * d, d)
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def _pairs_within(groups: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j with groups[i] == groups[j] for a sorted array,
     ordered by i and then j, as `dtype` (which must hold the pair count)."""
@@ -721,9 +703,6 @@ class MedianGraph:
         if not self.is_connected:
             raise GraphInputError("graph is disconnected")
 
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
-
     # -- median recognition --------------------------------------------------
 
     def is_median(self) -> MedianVerdict:
@@ -1121,12 +1100,18 @@ class MedianGraph:
     # -- convexity and projection ---------------------------------------------
 
     def is_convex(self, subset: Iterable[str]) -> ConvexityVerdict:
-        """Interval test: the set must contain every vertex lying on a geodesic
-        between two of its members.  Empty sets are rejected; the set must
-        induce a connected subgraph."""
+        """Convexity by the local rule: a connected set of a median graph is
+        convex iff no vertex outside it has two neighbours in it.  Median
+        graphs are weakly modular, where connected locally convex sets are
+        convex (local-to-global convexity; Bandelt & Chepoi, *Metric graph
+        theory and geometry: a survey*, 2008).  The witness (a, b, x) has x
+        outside the set and adjacent to both a and b, so x lies on a
+        geodesic from a to b.  Empty and disconnected sets and non-median
+        graphs are refused."""
         idx = self.indices_of(subset)
         if not idx:
             raise GraphInputError("convexity test needs a nonempty vertex set")
+        self.require_median()
         iset = set(idx)
         # induced connectivity
         seen = {idx[0]}
@@ -1139,19 +1124,18 @@ class MedianGraph:
                     stack.append(v)
         if seen != iset:
             raise GraphInputError("subset does not induce a connected subgraph")
-        d = self.dist
         in_set = np.zeros(self.n, dtype=bool)
-        in_set[list(iset)] = True
-        arr = sorted(iset)
-        for a in arr:
-            between = (d[a][None, :] + d[arr, :]) == d[a, arr][:, None]
-            bad = between & ~in_set[None, :]
-            hits = np.argwhere(bad)
-            if hits.size:
-                b, v = arr[int(hits[0][0])], int(hits[0][1])
-                return ConvexityVerdict(
-                    ok=False, violation=(self.ids[a], self.ids[b], self.ids[v])
-                )
+        in_set[idx] = True
+        inner = in_set[self._ends]
+        leaving = self._ends[inner[:, 0] != inner[:, 1]]
+        # the outside end of every edge leaving the set, counted per vertex
+        hits = np.flatnonzero(np.bincount(leaving[~in_set[leaving]], minlength=self.n) > 1)
+        if hits.size:
+            x = int(hits[0])
+            a, b = sorted(self.adj[x] & iset)[:2]
+            return ConvexityVerdict(
+                ok=False, violation=(self.ids[a], self.ids[b], self.ids[x])
+            )
         return ConvexityVerdict(ok=True)
 
     def require_convex(self, subset: Iterable[str]) -> list[int]:

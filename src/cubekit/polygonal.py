@@ -29,10 +29,11 @@ from .errors import (
     ConsistencyError,
     GraphInputError,
     SizeCapError,
+    UnionFind,
     ValidationError,
 )
 from .formats import RawComplex
-from .median import MedianGraph, UnionFind, WallSystem, _row_bits, side_meets
+from .median import MedianGraph, WallSystem, _row_bits, side_meets
 
 EDGE_CUBE = "edge-cube"
 CELL_CUBE = "cell-cube"
@@ -781,7 +782,10 @@ def _transfer_end(x, dc, v, report):
 
     Over the walls of ``dc.system``, ``inside`` holds those with the whole
     carrier in side 0, ``touches`` those with some carrier vertex in side 0
-    and ``meets`` those through the point's cell.  Each vertex is projected
+    and ``meets`` those through the point's cell.  The side masks do not
+    imply ``meets``: a wall that passes twice through one polygon can have
+    edges with both ends on one side, and so can pass through a cell whose
+    whole carrier lies on that side.  Each vertex is projected
     once per dual: the points are kept on ``dc`` together with the complex
     and the report they were made under, and a call with another complex or
     report starts over.

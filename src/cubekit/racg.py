@@ -1,25 +1,35 @@
 """Right-angled Coxeter groups presented by a finite defining graph.
 
 Vertices are involutive generators and edges are commutation relations.
-This module solves the word problem by commutation rewriting, builds Cayley
-balls as graphs, computes their walls and crossings exactly from the Tits
-representation, classifies contracting generators, and iterates the
-canonical join decomposition that decides relative hyperbolicity.  The join
-layer works on int bitmasks of generator ranks, one link mask per generator.
-The maximal large joins come from the closed join sides, the intersections
-of generator links, built one link at a time.
+This module solves the word problem by one rewriting step per letter on a
+shortlex normal form, builds Cayley balls as graphs, computes their walls
+and crossings exactly from the Tits representation, classifies contracting
+generators, and iterates the canonical join decomposition that decides
+relative hyperbolicity.  The join layer works on int bitmasks of generator
+ranks, one link mask per generator.  The maximal large joins come from the
+closed join sides, the intersections of generator links, built one link at
+a time.  Only balls and their walls load numpy and the median layer.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import (
+    LARGE_JOINS,
+    SQUARES,
+    ConsistencyError,
+    GraphInputError,
+    SizeCapError,
+    UnionFind,
+)
 
-from .errors import LARGE_JOINS, SQUARES, ConsistencyError, GraphInputError, SizeCapError
-from .median import _BLOCK_CELLS, MedianGraph, UnionFind, WallSystem
+if TYPE_CHECKING:  # numpy and the median layer load only for balls
+    import numpy as np
+
+    from .median import MedianGraph, WallSystem
 
 BALL_VERTEX_CAP = 20000
 # closed join sides (intersections of generator links) in maximal_large_joins,
@@ -136,69 +146,35 @@ class NormalForm:
         return " ".join(self.letters) if self.letters else "e"
 
 
-def _reduce(dg: DefiningGraph, letters) -> list[str]:
-    """One left-to-right pass of involution cancellation.
+def _step(links: list[int], form: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The shortlex normal form of form * v, for a normal form of ranks.
 
-    A letter cancels against the rightmost earlier copy of itself that can
-    be shuffled next to it; the scan stops at the first letter that fails
-    to commute.  The prefix stays reduced throughout, so the result is a
-    geodesic word.
+    Scanning back from the end past the letters that commute with v either
+    stops on v, a right descent that cancels (Tits' deletion condition), or
+    on a letter v must stay after; v then goes before the first later
+    letter of higher rank, which keeps the word the lexicographically least
+    of its commutation class (Anisimov & Knuth, "Inhomogeneous sorting",
+    1979).
     """
-    adj = dg.adj
-    out: list[str] = []
-    for v in letters:
-        if v not in dg.rank:
-            raise GraphInputError(f"unknown generator {v!r}")
-        i = len(out) - 1
-        while i >= 0 and out[i] != v and out[i] in adj[v]:
-            i -= 1
-        if i >= 0 and out[i] == v:
-            del out[i]
-        else:
-            out.append(v)
-    return out
-
-
-def _shortlex(dg: DefiningGraph, letters) -> list[str]:
-    """Lexicographically least word in the commutation class of a reduced word.
-
-    Kahn's topological sort of the positions, where each letter stays after
-    every earlier letter it does not commute with (an equal letter included);
-    of the free positions the least (rank, position) goes next.
-    """
-    rank = dg.rank
-    adj = dg.adj
-    word = list(letters)
-    later: list[list[int]] = [[] for _ in word]
-    blockers = [0] * len(word)
-    for j, v in enumerate(word):
-        for i in range(j):
-            if word[i] not in adj[v]:
-                later[i].append(j)
-                blockers[j] += 1
-    free = [(rank[v], j) for j, v in enumerate(word) if not blockers[j]]
-    heapq.heapify(free)
-    out: list[str] = []
-    while free:
-        i = heapq.heappop(free)[1]
-        out.append(word[i])
-        for j in later[i]:
-            blockers[j] -= 1
-            if not blockers[j]:
-                heapq.heappush(free, (rank[word[j]], j))
-    return out
+    i, link = len(form), links[v]
+    while i and form[i - 1] != v and link >> form[i - 1] & 1:
+        i -= 1
+    if i and form[i - 1] == v:
+        return form[: i - 1] + form[i:]
+    while i < len(form) and form[i] < v:
+        i += 1
+    return form[:i] + (v,) + form[i:]
 
 
 def normal_form(dg: DefiningGraph, word) -> NormalForm:
-    return NormalForm(tuple(_shortlex(dg, _reduce(dg, list(word)))))
+    form: tuple[int, ...] = ()
+    for v in word:
+        form = _step(dg._links, form, dg.rank[dg._check(v)])
+    return NormalForm(tuple(dg.vertices[i] for i in form))
 
 
 def words_equal(dg: DefiningGraph, u, w) -> bool:
     return normal_form(dg, u) == normal_form(dg, w)
-
-
-def _mul(dg: DefiningGraph, form: tuple[str, ...], v: str) -> tuple[str, ...]:
-    return tuple(_shortlex(dg, _reduce(dg, list(form) + [v])))
 
 
 # -- Cayley balls ------------------------------------------------------------------
@@ -224,6 +200,8 @@ def _separator_for(dg: DefiningGraph) -> str:
 def ball(dg: DefiningGraph, r: int) -> RacgBall:
     """The radius-r ball of the Cayley graph, on shortlex normal forms listed
     by length and then shortlex, so each edge goes up from its lower index."""
+    from .median import MedianGraph
+
     if r < 0:
         raise GraphInputError("radius must be >= 0")
     sep = _separator_for(dg)
@@ -231,35 +209,34 @@ def ball(dg: DefiningGraph, r: int) -> RacgBall:
     free = (c for c in ("e", "1", "id", "eps", "<identity>") if c not in dg.rank)
     ident = next(free, "e" * (1 + max(map(len, dg.vertices))))
 
-    def fid(t):
-        return sep.join(t) if t else ident
-
-    forms, frontier = {()}, [()]
-    edges, edge_letter = [], {}
+    names, links = dg.vertices, dg._links
+    ids = {(): ident}  # normal form, as ranks -> vertex id
+    frontier, edges, edge_letter = [()], [], {}
     for ln in range(r):
         nxt = []
         for f in frontier:
-            for v in dg.vertices:
-                g = _mul(dg, f, v)
-                if len(g) <= ln:
+            a = ids[f]
+            for v, name in enumerate(names):
+                g = _step(links, f, v)
+                if len(g) < len(f):  # v is a descent of f
                     continue
-                a, c = fid(f), fid(g)
-                edges.append((a, c))
-                edge_letter[(min(a, c), max(a, c))] = v
-                if g not in forms:
-                    forms.add(g)
+                c = ids.get(g)
+                if c is None:
+                    c = ids[g] = sep.join(names[i] for i in g)
                     nxt.append(g)
-                    if len(forms) > BALL_VERTEX_CAP:
+                    if len(ids) > BALL_VERTEX_CAP:
                         raise SizeCapError(
                             f"ball exceeds the {BALL_VERTEX_CAP}-vertex cap "
                             f"at radius {ln + 1}"
                         )
+                edges.append((a, c))
+                edge_letter[(min(a, c), max(a, c))] = name
         frontier = nxt
-    ordered = sorted(forms, key=lambda t: (len(t), [dg.rank[x] for x in t]))
+    ordered = sorted(ids, key=lambda t: (len(t), t))
     return RacgBall(
-        graph=MedianGraph([fid(t) for t in ordered], edges),
+        graph=MedianGraph([ids[t] for t in ordered], edges),
         radius=r,
-        forms={fid(t): t for t in ordered},
+        forms={ids[t]: tuple(names[i] for i in t) for t in ordered},
         identity=ident,
         separator=sep,
         edge_letter=edge_letter,
@@ -303,6 +280,10 @@ def ball_walls(dg: DefiningGraph, r: int) -> BallWalls:
     (a row of `roots`, in the basis of the generators) and its sides (True
     on the identity's side).  All of it is exact.
     """
+    import numpy as np
+
+    from .median import _BLOCK_CELLS, WallSystem
+
     b = ball(dg, r)
     g, ids, rank, k = b.graph, b.graph.ids, dg.rank, len(dg.vertices)
     B = np.full((k, k), -1, dtype=np.int64)
@@ -348,10 +329,11 @@ def ball_walls(dg: DefiningGraph, r: int) -> BallWalls:
     for (i, j), w in zip(g.edges, wall.tolist()):
         dual[w].append((ids[i], ids[j]))
     reflections = []
-    for e in first:
-        word = list(b.forms[ids[ends[e, 0]]])
-        refl = _reduce(dg, word + [dg.vertices[letter[e]]] + word[::-1])
-        reflections.append(tuple(_shortlex(dg, refl)))
+    for e in first:  # the reflection word g v g^-1, from g's normal form
+        refl = word = tuple(rank[x] for x in b.forms[ids[ends[e, 0]]])
+        for v in (int(letter[e]), *word[::-1]):
+            refl = _step(dg._links, refl, v)
+        reflections.append(tuple(dg.vertices[i] for i in refl))
     crossed = np.zeros((g.n, h), dtype=bool)
     for ln in range(1, r + 1):
         ys = np.arange(layer[ln], layer[ln + 1])

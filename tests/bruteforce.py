@@ -6,6 +6,7 @@ enumeration) and shares no code with the package internals.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -13,16 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from cubekit.diagnostics import EXACT, LOWER_BOUND, BigonReport, FlatRectangle
-from cubekit.errors import ConsistencyError, SizeCapError
-from cubekit.median import Cube
-from cubekit.racg import (
-    DecompositionVerdict,
-    _mul,
-    _reduce,
-    _shortlex,
-    ball,
-    maximal_large_joins,
-)
+from cubekit.errors import ConsistencyError, GraphInputError, SizeCapError
+from cubekit.median import ConvexityVerdict, Cube, MedianGraph
+from cubekit.racg import DecompositionVerdict, RacgBall, maximal_large_joins
 
 
 def adj_dict(g) -> dict[str, set[str]]:
@@ -205,6 +199,38 @@ def wall_pairs_brute(sides) -> list[tuple[int, tuple[int, int]]]:
                 m |= 1 << int(j)
             found[key] = (m, (x, y))
     return list(found.values())
+
+
+def connected_subsets(g):
+    """Every vertex set of g that induces a connected subgraph, as id lists."""
+    nbrs = [sum(1 << j for j in g.adj[i]) for i in range(g.n)]
+    for m in range(1, 1 << g.n):
+        seen = front = m & -m
+        while front:
+            grow = 0
+            for i in range(g.n):
+                if front >> i & 1:
+                    grow |= nbrs[i]
+            front = grow & m & ~seen
+            seen |= front
+        if seen == m:
+            yield [g.ids[i] for i in range(g.n) if m >> i & 1]
+
+
+def convex_scan_brute(g, subset) -> ConvexityVerdict:
+    """Interval test: the set must contain every vertex lying on a geodesic
+    between two of its members."""
+    d = g.dist
+    arr = sorted(set(g.indices_of(subset)))
+    in_set = np.zeros(g.n, dtype=bool)
+    in_set[arr] = True
+    for a in arr:
+        between = (d[a][None, :] + d[arr, :]) == d[a, arr][:, None]
+        hits = np.argwhere(between & ~in_set[None, :])
+        if hits.size:
+            b, v = arr[int(hits[0][0])], int(hits[0][1])
+            return ConvexityVerdict(ok=False, violation=(g.ids[a], g.ids[b], g.ids[v]))
+    return ConvexityVerdict(ok=True)
 
 
 def hyperplane_classes_brute(g) -> tuple[list[int], np.ndarray]:
@@ -690,22 +716,106 @@ def bigon_scan_brute(g, measure: np.ndarray, pairs=None) -> BigonReport:
     return BigonReport(best, wit, EXACT)
 
 
-def shortlex_rescan_brute(dg, letters) -> list[str]:
-    """Least word in the commutation class of a reduced word, by rescanning
-    the remaining prefix for every candidate at every pick."""
+def reduce_brute(dg, letters) -> list[str]:
+    """One left-to-right pass of involution cancellation.
+
+    A letter cancels against the rightmost earlier copy of itself that can
+    be shuffled next to it; the scan stops at the first letter that fails
+    to commute.  The prefix stays reduced throughout, so the result is a
+    geodesic word.
+    """
+    adj = dg.adj
+    out: list[str] = []
+    for v in letters:
+        if v not in dg.rank:
+            raise GraphInputError(f"unknown generator {v!r}")
+        i = len(out) - 1
+        while i >= 0 and out[i] != v and out[i] in adj[v]:
+            i -= 1
+        if i >= 0 and out[i] == v:
+            del out[i]
+        else:
+            out.append(v)
+    return out
+
+
+def shortlex_brute(dg, letters) -> list[str]:
+    """Lexicographically least word in the commutation class of a reduced word.
+
+    Kahn's topological sort of the positions, where each letter stays after
+    every earlier letter it does not commute with (an equal letter included);
+    of the free positions the least (rank, position) goes next.
+    """
     rank = dg.rank
     adj = dg.adj
-    rest = list(letters)
+    word = list(letters)
+    later: list[list[int]] = [[] for _ in word]
+    blockers = [0] * len(word)
+    for j, v in enumerate(word):
+        for i in range(j):
+            if word[i] not in adj[v]:
+                later[i].append(j)
+                blockers[j] += 1
+    free = [(rank[v], j) for j, v in enumerate(word) if not blockers[j]]
+    heapq.heapify(free)
     out: list[str] = []
-    while rest:
-        pick = -1
-        for i, v in enumerate(rest):
-            if any(u not in adj[v] for u in rest[:i]):
-                continue
-            if pick < 0 or rank[v] < rank[rest[pick]]:
-                pick = i
-        out.append(rest.pop(pick))
+    while free:
+        i = heapq.heappop(free)[1]
+        out.append(word[i])
+        for j in later[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heapq.heappush(free, (rank[word[j]], j))
     return out
+
+
+def normal_form_brute(dg, word) -> tuple[str, ...]:
+    """Shortlex normal form: cancel, then sort the commutation class."""
+    return tuple(shortlex_brute(dg, reduce_brute(dg, list(word))))
+
+
+def ball_brute(dg, r: int, cap: int = 20000) -> RacgBall:
+    """The Cayley ball by multiplying every form by every generator and
+    renormalising the whole word, named and ordered as ``racg.ball`` names
+    and orders it."""
+    sep = next(c for c in ".|/~:" if not any(c in v for v in dg.vertices))
+    ident = next(
+        (c for c in ("e", "1", "id", "eps", "<identity>") if c not in dg.rank),
+        "e" * (1 + max(map(len, dg.vertices))),
+    )
+
+    def fid(t):
+        return sep.join(t) if t else ident
+
+    forms, frontier = {()}, [()]
+    edges, edge_letter = [], {}
+    for ln in range(r):
+        nxt = []
+        for f in frontier:
+            for v in dg.vertices:
+                g = normal_form_brute(dg, f + (v,))
+                if len(g) <= ln:
+                    continue
+                a, c = fid(f), fid(g)
+                edges.append((a, c))
+                edge_letter[(min(a, c), max(a, c))] = v
+                if g not in forms:
+                    forms.add(g)
+                    nxt.append(g)
+                    if len(forms) > cap:
+                        raise SizeCapError(
+                            f"ball exceeds the {cap}-vertex cap at radius {ln + 1}"
+                        )
+        frontier = nxt
+    ordered = sorted(forms, key=lambda t: (len(t), [dg.rank[x] for x in t]))
+    return RacgBall(
+        graph=MedianGraph([fid(t) for t in ordered], edges),
+        radius=r,
+        forms={fid(t): t for t in ordered},
+        identity=ident,
+        separator=sep,
+        edge_letter=edge_letter,
+    )
 
 
 def maximal_large_joins_brute(dg) -> tuple[frozenset[str], ...]:
@@ -919,25 +1029,6 @@ def coxeter_ball_oracle(order, adj, r: int):
     return dist
 
 
-def _ball_forms_words(dg, r: int, cap: int) -> dict[tuple[str, ...], int]:
-    forms: dict[tuple[str, ...], int] = {(): 0}
-    frontier: list[tuple[str, ...]] = [()]
-    for ln in range(r):
-        nxt = []
-        for f in frontier:
-            for v in dg.vertices:
-                g = _mul(dg, f, v)
-                if len(g) == ln + 1 and g not in forms:
-                    forms[g] = ln + 1
-                    nxt.append(g)
-                    if len(forms) > cap:
-                        raise SizeCapError(
-                            f"ball exceeds the {cap}-vertex cap at radius {ln + 1}"
-                        )
-        frontier = nxt
-    return forms
-
-
 def ball_walls_words_brute(dg, r: int, buffer: int, cap: int = 20000):
     """Walls of the Cayley ball from reflection words, by word rewriting.
 
@@ -947,7 +1038,7 @@ def ball_walls_words_brute(dg, r: int, buffer: int, cap: int = 20000):
     are certified by commuting squares based in the radius-(r + buffer) ball
     only, so the transversality table is a subset of the true one.
     """
-    b = ball(dg, r)
+    b = ball_brute(dg, r)
     wall_index: dict[tuple[str, ...], int] = {}
     dual: list[list[tuple[str, str]]] = []
     for iu, iw in b.graph.edges:
@@ -955,7 +1046,7 @@ def ball_walls_words_brute(dg, r: int, buffer: int, cap: int = 20000):
         fu, fw = b.forms[uid], b.forms[wid]
         g, _h = (fu, fw) if len(fu) < len(fw) else (fw, fu)
         v = b.edge_letter[(min(uid, wid), max(uid, wid))]
-        refl = tuple(_shortlex(dg, _reduce(dg, list(g) + [v] + list(reversed(g)))))
+        refl = normal_form_brute(dg, g + (v,) + g[::-1])
         j = wall_index.setdefault(refl, len(dual))
         if j == len(dual):
             dual.append([])
@@ -966,10 +1057,9 @@ def ball_walls_words_brute(dg, r: int, buffer: int, cap: int = 20000):
     h = len(reflections)
     sides = np.zeros((h, b.graph.n), dtype=bool)
     for j, t in enumerate(reflections):
-        tl = list(t)
         for k, vid in enumerate(b.graph.ids):
             y = b.forms[vid]
-            sides[j, k] = len(_reduce(dg, tl + list(y))) > len(y)
+            sides[j, k] = len(reduce_brute(dg, t + y)) > len(y)
     trans = np.zeros((h, h), dtype=bool)
     comm = [
         (u, v)
@@ -977,15 +1067,13 @@ def ball_walls_words_brute(dg, r: int, buffer: int, cap: int = 20000):
         if v in dg.adj[u]
     ]
     if comm:
-        for g in _ball_forms_words(dg, r + buffer, cap * 4):
-            gl = list(g)
-            rg = list(reversed(g))
+        for g in ball_brute(dg, r + buffer, cap * 4).forms.values():
             for u, v in comm:
-                w1 = tuple(_shortlex(dg, _reduce(dg, gl + [u] + rg)))
+                w1 = normal_form_brute(dg, g + (u,) + g[::-1])
                 i1 = wall_index.get(w1)
                 if i1 is None:
                     continue
-                w2 = tuple(_shortlex(dg, _reduce(dg, gl + [v] + rg)))
+                w2 = normal_form_brute(dg, g + (v,) + g[::-1])
                 i2 = wall_index.get(w2)
                 if i2 is None or i1 == i2:
                     continue

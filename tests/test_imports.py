@@ -123,3 +123,20 @@ def test_median_check_loads_only_median_and_formats(tmp_path):
     codes, modules = run_fresh(["--json", "median", "check", str(path)])
     assert codes == [0]
     assert loaded_layers(modules) == {"median", "formats"}
+
+
+def test_racg_loads_numpy_only_for_balls(tmp_path):
+    path = tmp_path / "c4.graph"
+    path.write_text("".join(f"vertex {v}\n" for v in "abcd") + "edge a b\nedge b c\nedge c d\nedge d a\n")
+    p = str(path)
+    codes, modules = run_fresh(
+        ["--json", "racg", "nf", p, "a", "b", "c", "a"], ["--json", "racg", "squares", p],
+        ["--json", "racg", "jdecomp", p], ["--json", "racg", "relhyp", p],
+        ["--json", "racg", "contracting", p],
+    )
+    assert codes == [0, 0, 0, 1, 0]
+    assert loaded_layers(modules) == {"racg", "formats"}
+    assert not any(m.split(".")[0] == "numpy" for m in modules)
+    codes, modules = run_fresh(["--json", "racg", "ball", p, "-r", "2"])
+    assert codes == [0]
+    assert loaded_layers(modules) == {"racg", "formats", "median"}

@@ -1025,6 +1025,29 @@ def test_convexity_needs_connected_induced_subgraph():
         g.is_convex([])
 
 
+def test_local_convexity_rule_matches_the_interval_scan():
+    # every connected subset of every fixture on at most 16 vertices
+    checked = 0
+    for name, g in FIX.items():
+        if g.n > 16:
+            continue
+        for subset in bf.connected_subsets(g):
+            verdict = g.is_convex(subset)
+            assert verdict.ok == bf.convex_scan_brute(g, subset).ok, (name, subset)
+            if not verdict.ok:
+                a, b, x = verdict.violation
+                assert a in subset and b in subset and x not in subset
+                assert g.distance(a, x) == g.distance(b, x) == 1
+            checked += 1
+    assert checked > 70_000
+
+
+def test_convexity_refuses_non_median_graphs():
+    g = k23()
+    with pytest.raises(NotMedianError):
+        g.is_convex(g.ids[:1])
+
+
 def test_intervals_are_convex():
     for name in ["grid_3x3", "cube3", "staircase"]:
         g = FIX[name]

@@ -53,6 +53,7 @@ from fixtures import (
     square_complex,
     square_pendant_complex,
     three_square_fan_complex,
+    twice_through_hexagon_complex,
     two_hexagons_complex,
 )
 
@@ -625,6 +626,21 @@ class TestSeparationTransfer:
         fresh = separation_transfer(x, dual_cube_complex(x), w, u)
         assert there.dual_family == (1, 2, 3, 4, 5, 6)
         assert back.dual_family == fresh.dual_family == (6, 5, 4, 3, 2, 1)
+
+    def test_cell_test_is_not_implied_by_the_side_test(self):
+        # a wall through the square P leaves P's whole boundary on one side,
+        # vertex 5 on the other; only the cell test keeps it out of the family
+        x = twice_through_hexagon_complex()
+        dc = dual_cube_complex(x)
+        k = dc.wall_of_edge["e01"]
+        wall = dc.walls[k]
+        assert wall.polygons == ("P", "Q", "R")
+        assert set(x.boundary["P"]) <= wall.sides[0] and "5" in wall.sides[1]
+        points = {v: dual_projection(x, dc, v).cell for v in dc.graph.ids}
+        u = next(v for v, cell in points.items() if cell == ("polygon", "P"))
+        w = next(v for v, cell in points.items() if cell == ("vertex", "5"))
+        tr = separation_transfer(x, dc, u, w)
+        assert tr.wall_family == () and tr.dual_disjoint == 1 and tr.holds
 
     def test_chain_eight(self):
         x = square_chain_complex(8)

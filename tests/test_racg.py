@@ -15,8 +15,6 @@ from cubekit.racg import (
     LARGE_JOINS,
     SQUARES,
     DefiningGraph,
-    _reduce,
-    _shortlex,
     ball,
     ball_walls,
     contracting_generators,
@@ -120,7 +118,7 @@ class TestNormalForm:
         assert not words_equal(dg, "ac", "ca")
 
     def test_unknown_letter_rejected(self):
-        with pytest.raises(GraphInputError):
+        with pytest.raises(GraphInputError, match="unknown generator 'z'"):
             normal_form(dgn(*EDGE), "az")
 
     @pytest.mark.parametrize(
@@ -161,14 +159,22 @@ class TestNormalForm:
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                     assert nf <= tuple(swapped)
 
-    def test_topological_shortlex_matches_rescan_oracle(self):
+    def test_matches_cancel_then_sort_oracle(self):
+        # 400 graphs on 1-7 generators, 60 words each: random words, words
+        # with doubled letters, and words u v u^-1 that cancel down to v
         rng = random.Random(5)
-        for vs, es in _random_defining_graphs(40, 13):
-            dg = dgn(vs, es)
-            for _ in range(50):
-                word = [rng.choice(vs) for _ in range(rng.randint(0, 24))]
-                for w in (word, _reduce(dg, word)):
-                    assert _shortlex(dg, w) == bf.shortlex_rescan_brute(dg, w)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            vs = [f"g{i}" for i in range(n)]
+            p = rng.random()
+            dg = dgn(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
+            for k in range(60):
+                word = [rng.choice(vs) for _ in range(rng.randint(0, 12))]
+                if k % 3 == 1:
+                    word = [v for v in word for _ in range(rng.randint(1, 2))]
+                elif k % 3 == 2:
+                    word = word + [rng.choice(vs)] + word[::-1]
+                assert normal_form(dg, word).letters == bf.normal_form_brute(dg, word)
 
 
 class TestBall:
@@ -220,8 +226,6 @@ class TestBall:
         assert ball(dgn(["e", "1", "id", "eps"], []), 1).identity == "<identity>"
 
     def test_edges_are_generator_multiplications(self):
-        from cubekit.racg import _mul
-
         dg = dgn(*C5)
         b = ball(dg, 2)
         assert b.identity in b.forms
@@ -231,7 +235,7 @@ class TestBall:
             short, long_ = (fu, fw) if len(fu) < len(fw) else (fw, fu)
             v = b.edge_letter[(min(uid, wid), max(uid, wid))]
             assert v in dg.rank
-            assert _mul(dg, short, v) == long_
+            assert normal_form(dg, short + (v,)).letters == long_
 
     @pytest.mark.parametrize(
         "spec,r", [(EDGE, 2), (ISO2, 3), (C4, 3), (PATH4, 2), (C5, 2), (C4_PENDANT, 2)]
@@ -270,7 +274,7 @@ class TestBallWalls:
             fx = bw.ball.forms[g.ids[x]]
             for y in range(x + 1, g.n):
                 fy = bw.ball.forms[g.ids[y]]
-                dgrp = len(_reduce(dg, list(reversed(fx)) + list(fy)))
+                dgrp = len(normal_form(dg, fx[::-1] + fy))
                 assert int(np.sum(S[:, x] != S[:, y])) == dgrp
 
     def test_transverse_walls_have_distinct_commuting_letters(self):
@@ -356,6 +360,27 @@ def _random_defining_graphs(count, seed):
 WORD_ORACLE_CASES = [
     (C4, 3), (C5, 3), (C6, 3), (PATH4, 3), (C4_PENDANT, 3), (C5, 4)
 ] + [(spec, 3) for spec in _random_defining_graphs(8, 7)]
+
+
+BALL_ORACLE_CASES = [
+    (C4, (1, 2, 4)), (C5, (1, 3, 5)), (C6, (2, 3)), (TWO_SQUARES, (1, 2, 3)),
+    (FREE3, (1, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("spec,radii", BALL_ORACLE_CASES)
+def test_ball_and_walls_match_the_rewriting_oracle(spec, radii):
+    # the ball and its reflection words against whole-word renormalisation
+    dg = dgn(*spec)
+    for r in radii:
+        b, want = ball(dg, r), bf.ball_brute(dg, r)
+        assert b.graph.ids == want.graph.ids and b.graph.edges == want.graph.edges
+        assert b.forms == want.forms and b.edge_letter == want.edge_letter
+        bw = ball_walls(dg, r)
+        refl, dual, sides, trans = bf.ball_walls_words_brute(dg, r, 2)
+        assert bw.reflections == refl and bw.dual_edges == dual
+        assert np.array_equal(bw.system.sides, sides)
+        assert np.array_equal(bw.system.transverse, trans)
 
 
 class TestTitsWalls:
