@@ -742,8 +742,9 @@ class MedianGraph:
         """
         if "median_verdict" in self._cache:
             return self._cache["median_verdict"]
-        self._require_connected()
         if self.n > IS_MEDIAN_CAP:
+            # below the cap the distance pass refuses a disconnected graph
+            self._require_connected()
             raise SizeCapError(f"is_median cap is {IS_MEDIAN_CAP} vertices, got {self.n}")
         triple = self._median_failure()
         if triple is None:
@@ -941,7 +942,8 @@ class MedianGraph:
 
     def maximal_cubes(self) -> list[Cube]:
         """The maximal cubes, in the order of ``cubes()``; without the full
-        inventory cached, only the maximal ones are built."""
+        inventory cached, corners and ``Cube`` objects are built for the
+        maximal ones alone."""
         if "cubes" in self._cache:
             return [c for c in self._cache["cubes"] if c.maximal]
         return self._build_cubes(maximal_only=True)
@@ -957,9 +959,10 @@ class MedianGraph:
         rank[sorted(range(self.n), key=self.ids.__getitem__)] = np.arange(self.n)
         names = np.array(self.ids, dtype=object)
         cubes: list[Cube] = []
-        for k, (verts, hs, maximal) in self._cube_rows().items():
+        for k, (gates, hs, maximal) in self._cube_rows().items():
             if maximal_only:
-                verts, hs, maximal = verts[maximal], hs[maximal], maximal[maximal]
+                gates, hs, maximal = gates[maximal], hs[maximal], maximal[maximal]
+            verts = self._cube_corners(gates, hs)
             order = np.lexsort(np.sort(rank[verts], axis=1).T[::-1])
             verts, hs, maximal = verts[order], hs[order], maximal[order]
             col = verts.argmin(axis=1)
@@ -974,30 +977,24 @@ class MedianGraph:
 
     def _cube_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The cube inventory as index arrays, by falling dimension k: the
-        vertex rows (count, 2**k), the hyperplane rows (count, k) and the
-        maximal flags (count,), with the cubes in gate order (see cubes).
-
-        Column ``bits`` of a vertex row is the corner reached from the gate
-        by crossing the hyperplanes hs[bits]; every corner is checked to
-        exist and every cube to have 2**k distinct vertices.
+        gates (count,), the hyperplane rows (count, k) and the maximal flags
+        (count,), with the cubes in gate order (see cubes).  No corner is
+        built here: ``_cube_corners`` builds them for the cubes a caller
+        reads.
         """
         if "cube_rows" in self._cache:
             return self._cache["cube_rows"]
         self.require_median()
         if not self.edges:
-            point = np.zeros((1, 1), dtype=np.intp)
-            self._cache["cube_rows"] = {0: (point, point[:, :0], np.ones(1, dtype=bool))}
+            point = np.zeros(1, dtype=np.intp)
+            self._cache["cube_rows"] = {0: (point, np.zeros((1, 0), np.intp), np.ones(1, bool))}
             return self._cache["cube_rows"]
-        n, h = self.n, self.hyperplane_count
+        n = self.n
         level = self.dist[0]
         trans = self.wall_system._trans_int
         e = self._ends
         tail, head = np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]]
         cls = np.tile(self._hyperplane_data()["edge_class"].astype(np.intp), 2)
-        # (vertex, hyperplane) -> neighbour across it, as a sorted key table
-        key = tail * h + cls
-        order = np.argsort(key)
-        key, across = key[order], head[order]
         # hyperplanes of all edges at each vertex, and of its up-edges
         at, up = [0] * n, [0] * n
         rising = level[head] > level[tail]
@@ -1027,24 +1024,44 @@ class MedianGraph:
         out = {}
         for k in sorted(found, reverse=True):
             gates, flat, maximal = found[k]
-            hs = np.array(flat, dtype=np.intp).reshape(-1, k)
-            # the corner `bits` is one step on from the corner without the
-            # lowest of its hyperplanes
-            verts = np.empty((len(gates), 1 << k), dtype=np.intp)
-            verts[:, 0] = gates
-            for bits in range(1, 1 << k):
-                b = (bits & -bits).bit_length() - 1
-                want = verts[:, bits ^ (1 << b)] * h + hs[:, b]
-                pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
-                if (key[pos] != want).any():
-                    raise ConsistencyError("a cube corner is missing")
-                verts[:, bits] = across[pos]
-            srt = np.sort(verts, axis=1)
-            if (srt[:, 1:] == srt[:, :-1]).any():
-                raise ConsistencyError("a cube has the wrong vertex count")
-            out[k] = (verts, hs, np.array(maximal))
+            out[k] = (
+                np.array(gates, dtype=np.intp),
+                np.array(flat, dtype=np.intp).reshape(-1, k),
+                np.array(maximal),
+            )
         self._cache["cube_rows"] = out
         return out
+
+    def _cube_corners(self, gates: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        """The vertex rows (count, 2**k) of the cubes with these gates and
+        hyperplane rows (count, k).  Column ``bits`` of a row is the corner
+        reached from the gate by crossing the hyperplanes hs[bits]; every
+        corner is checked to exist and every cube to have 2**k distinct
+        vertices."""
+        h, k = self.hyperplane_count, hs.shape[1]
+        if "across" not in self._cache:
+            # (vertex, hyperplane) -> neighbour across it, as a sorted key table
+            e = self._ends
+            tail, head = np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]]
+            key = tail * h + np.tile(self._hyperplane_data()["edge_class"].astype(np.intp), 2)
+            order = np.argsort(key)
+            self._cache["across"] = key[order], head[order]
+        key, across = self._cache["across"]
+        # the corner `bits` is one step on from the corner without the
+        # lowest of its hyperplanes
+        verts = np.empty((len(gates), 1 << k), dtype=np.intp)
+        verts[:, 0] = gates
+        for bits in range(1, 1 << k):
+            b = (bits & -bits).bit_length() - 1
+            want = verts[:, bits ^ (1 << b)] * h + hs[:, b]
+            pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
+            if (key[pos] != want).any():
+                raise ConsistencyError("a cube corner is missing")
+            verts[:, bits] = across[pos]
+        srt = np.sort(verts, axis=1)
+        if (srt[:, 1:] == srt[:, :-1]).any():
+            raise ConsistencyError("a cube has the wrong vertex count")
+        return verts
 
     def _hyperplane_dimensions(self) -> list[int]:
         dims = np.ones(self.hyperplane_count, dtype=np.intp)
@@ -1060,8 +1077,8 @@ class MedianGraph:
             adj = np.zeros((self.n, self.n), dtype=bool)
             # every maximal cube of a dimension at once: row r sets the block
             # of its vertices, as adj[np.ix_(row, row)] would
-            for verts, _, maximal in self._cube_rows().values():
-                rows = verts[maximal]
+            for gates, hs, maximal in self._cube_rows().values():
+                rows = self._cube_corners(gates[maximal], hs[maximal])
                 adj[rows[:, :, None], rows[:, None, :]] = True
             np.fill_diagonal(adj, False)
             self._cache["linf_adj"] = adj

@@ -482,7 +482,8 @@ class DualCubeComplex:
     transverse exactly when they pass through a common polygon.
     ``wall_of_edge`` maps every edge to its wall.  ``_cache`` holds what
     projection and separation transfer make once per dual: the maximal-cube
-    classification and each projected vertex with its wall masks.
+    classification, each projected vertex with its wall masks, and each
+    chain by its separating mask.
     """
 
     def __init__(self, base, wall_list, vertex_index, system, graph,
@@ -569,19 +570,20 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
     graph = MedianGraph(sorted(seen.values()), sorted(edge_set))
     graph.require_median()
 
+    # each hyperplane's edge class must flip one wall, and each wall once
     code = {vid: o for o, vid in seen.items()}
+    codes = [code[vid] for vid in graph.ids]
     labels = []
-    for hp in graph.hyperplanes():
+    for j, class_edges in enumerate(graph._hyperplane_data()["class_edges"]):
         ks = set()
-        for ida, idb in hp.dual_edges:
-            flip = code[ida] ^ code[idb]
+        for e in class_edges:
+            a, b = graph.edges[e]
+            flip = codes[a] ^ codes[b]
             if flip & (flip - 1):
                 raise ConsistencyError("a dual edge flips more than one wall")
             ks.add(flip.bit_length() - 1)
         if len(ks) != 1:
-            raise ConsistencyError(
-                f"hyperplane {hp.index} mixes walls {sorted(ks)}"
-            )
+            raise ConsistencyError(f"hyperplane {j} mixes walls {sorted(ks)}")
         labels.append(ks.pop())
     if sorted(labels) != list(range(h)):
         raise ConsistencyError("hyperplanes do not biject with walls")
@@ -613,15 +615,17 @@ def classify_maximal_cubes(dc: DualCubeComplex) -> ClassificationReport:
 
     A maximal 1-cube over an isolated edge's wall is an edge cube; a cube
     whose wall set equals the wall set of some polygon with half as many
-    sides is that polygon's cell cube.  Anything else lands in
-    ``unmatched`` with its wall set, which flags inputs outside the
-    small-cancellation regime rather than raising.
+    sides is that polygon's cell cube, the first such polygon by sorted id
+    (a polygon whose wall passes through it twice has fewer walls than half
+    its sides, and can share its wall set with a smaller polygon).
+    Anything else lands in ``unmatched`` with its wall set, which flags
+    inputs outside the small-cancellation regime rather than raising.
     """
     x = dc.base
-    poly_sets: dict[frozenset[int], str] = {}
+    poly_sets: dict[frozenset[int], list[str]] = {}
     for pid in sorted(x.polygons):
         s = frozenset(dc.wall_of_edge[e] for e in x.boundary_edges[pid])
-        poly_sets.setdefault(s, pid)
+        poly_sets.setdefault(s, []).append(pid)
     isolated = {w.index: w.edges[0] for w in dc.walls if not w.polygons}
 
     tags = []
@@ -629,12 +633,14 @@ def classify_maximal_cubes(dc: DualCubeComplex) -> ClassificationReport:
     for cube in dc.graph.maximal_cubes():
         wset = frozenset(dc.hyperplane_walls[j] for j in cube.hyperplanes)
         only = next(iter(wset)) if len(wset) == 1 else None
+        cell = next(
+            (p for p in poly_sets.get(wset, ()) if x.sides(p) == 2 * cube.dimension),
+            None,
+        )
         if cube.dimension == 1 and only in isolated:
             tags.append(CubeTag(EDGE_CUBE, isolated[only], 1, cube.vertices))
-        elif wset in poly_sets and 2 * cube.dimension == x.sides(poly_sets[wset]):
-            tags.append(
-                CubeTag(CELL_CUBE, poly_sets[wset], cube.dimension, cube.vertices)
-            )
+        elif cell is not None:
+            tags.append(CubeTag(CELL_CUBE, cell, cube.dimension, cube.vertices))
         else:
             unmatched.append((tuple(sorted(wset)), cube.vertices))
     tags.sort(key=lambda t: (t.kind, t.ref, sorted(t.vertices)))
@@ -776,6 +782,30 @@ class TransferReport:
         return self.wall_disjoint >= self.dual_disjoint - 2
 
 
+def _transfer_cache(x, dc, report):
+    """The report a transfer runs under, and what transfers on ``dc`` keep
+    for it: (ends, dual chains, wall chains), three dicts.
+
+    ``ends`` maps each vertex asked for to its projection with its wall
+    masks (see ``_transfer_end``); the chain dicts map each separating mask
+    asked for to its ``longest_chain`` members: the dual's as found, to be
+    ordered toward each pair's first vertex, and the walls' sorted.  They
+    hold at most one entry per distinct vertex or mask, and each chain is
+    smaller than the ``TransferReport`` the caller already keeps.  Each
+    chain is the same function of the same mask, so a kept one is exact.
+    All three are kept on ``dc`` together with the complex and the report
+    they were made under; a call with another complex or report starts
+    over.
+    """
+    if report is None:
+        report = _own_classification(dc)
+    made_x, made_report, kept = dc._cache.get("transfer", (None, None, None))
+    if made_x is not x or made_report is not report:
+        kept = ({}, {}, {})
+        dc._cache["transfer"] = (x, report, kept)
+    return report, kept
+
+
 def _transfer_end(x, dc, v, report):
     """``v``'s projection with the wall masks a transfer needs, as
     (point, inside, touches, meets).
@@ -785,31 +815,20 @@ def _transfer_end(x, dc, v, report):
     and ``meets`` those through the point's cell.  The side masks do not
     imply ``meets``: a wall that passes twice through one polygon can have
     edges with both ends on one side, and so can pass through a cell whose
-    whole carrier lies on that side.  Each vertex is projected
-    once per dual: the points are kept on ``dc`` together with the complex
-    and the report they were made under, and a call with another complex or
-    report starts over.
+    whole carrier lies on that side.
     """
-    if report is None:
-        report = _own_classification(dc)
-    made_x, made_report, ends = dc._cache.get("ends", (None, None, None))
-    if made_x is not x or made_report is not report:
-        ends = {}
-        dc._cache["ends"] = (x, report, ends)
-    if v not in ends:
-        point = dual_projection(x, dc, v, report)
-        columns = dc.system.columns
-        inside, touches = -1, 0
-        for c in point.carrier:
-            col = columns[dc.vertex_index[c]]
-            inside &= col
-            touches |= col
-        meets = 0
-        for wall in dc.walls:
-            if _wall_meets_cell(wall, point.cell):
-                meets |= 1 << wall.index
-        ends[v] = (point, inside, touches, meets)
-    return ends[v]
+    point = dual_projection(x, dc, v, report)
+    columns = dc.system.columns
+    inside, touches = -1, 0
+    for c in point.carrier:
+        col = columns[dc.vertex_index[c]]
+        inside &= col
+        touches |= col
+    meets = 0
+    for wall in dc.walls:
+        if _wall_meets_cell(wall, point.cell):
+            meets |= 1 << wall.index
+    return point, inside, touches, meets
 
 
 def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
@@ -819,13 +838,14 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     the carriers sit on opposite sides; disjointness of walls means no
     shared polygon, disjointness of dual hyperplanes means not transverse.
 
-    Each dual vertex is projected once per dual and report (see
-    ``_transfer_end``), and with it are kept its carrier's wall-side bits
-    (their AND and OR over the carrier) and the walls meeting its cell.
-    These depend on nothing but the vertex, so the cached masks are exact:
-    a wall splits the carriers when one carrier's AND has it in side 0 and
-    the other's OR does not.  The dual separating set is the XOR of the two
-    vertices' halfspace columns.
+    Each dual vertex is projected once per dual and report, and with it
+    are kept its carrier's wall-side bits (their AND and OR over the
+    carrier) and the walls meeting its cell.  These depend on nothing but
+    the vertex, so the cached masks are exact: a wall splits the carriers
+    when one carrier's AND has it in side 0 and the other's OR does not.
+    The dual separating set is the XOR of the two vertices' halfspace
+    columns.  Each chain is found once per distinct separating mask (see
+    ``_transfer_cache``); only its order toward u is per pair.
 
     Both families are ``WallSystem.longest_chain`` of their separating
     mask, ordered toward u for the dual: inside one pair's separating set,
@@ -838,15 +858,23 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     t, r share a polygon, share none either: its boundary would have
     vertices on both sides of t and so an edge of t.
     """
-    pu, inside_u, touches_u, meets_u = _transfer_end(x, dc, u, report)
-    pw, inside_w, touches_w, meets_w = _transfer_end(x, dc, w, report)
+    report, (ends, dual_chains, wall_chains) = _transfer_cache(x, dc, report)
+    for v in (u, w):
+        if v not in ends:
+            ends[v] = _transfer_end(x, dc, v, report)
+    pu, inside_u, touches_u, meets_u = ends[u]
+    pw, inside_w, touches_w, meets_w = ends[w]
     ws, rep = dc.graph.wall_system, tuple(dc.graph.indices_of([u, w]))
     separating = ws.columns[rep[0]] ^ ws.columns[rep[1]]
-    dual_family = ws.order_chain(ws.longest_chain(separating)[1], rep)
+    if separating not in dual_chains:
+        dual_chains[separating] = ws.longest_chain(separating)[1]
+    dual_family = ws.order_chain(dual_chains[separating], rep)
 
     apart = inside_u & ~touches_w | inside_w & ~touches_u
     mask = apart & ~meets_u & ~meets_w
-    wall_family = tuple(sorted(dc.system.longest_chain(mask)[1]))
+    if mask not in wall_chains:
+        wall_chains[mask] = tuple(sorted(dc.system.longest_chain(mask)[1]))
+    wall_family = wall_chains[mask]
     return TransferReport(
         u, w, pu, pw, len(dual_family), len(wall_family), dual_family, wall_family
     )

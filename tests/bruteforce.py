@@ -1239,6 +1239,30 @@ def dual_orientations_brute(x):
     return names, edges
 
 
+def hyperplane_walls_brute(dc) -> tuple[int, ...]:
+    """The wall each hyperplane of the dual ``dc`` flips, read off the
+    ``hyperplanes()`` inventory: every dual edge of a hyperplane must change
+    exactly one orientation coordinate, the same one for all of them, and
+    the labels must biject with the walls."""
+    labels = []
+    for hp in dc.graph.hyperplanes():
+        ks = set()
+        for a, b in hp.dual_edges:
+            flips = [
+                k for k, (p, q) in enumerate(zip(dc.orientations[a], dc.orientations[b]))
+                if p != q
+            ]
+            if len(flips) != 1:
+                raise ConsistencyError("a dual edge flips more than one wall")
+            ks.update(flips)
+        if len(ks) != 1:
+            raise ConsistencyError(f"hyperplane {hp.index} mixes walls {sorted(ks)}")
+        labels.append(ks.pop())
+    if sorted(labels) != list(range(len(dc.walls))):
+        raise ConsistencyError("hyperplanes do not biject with walls")
+    return tuple(labels)
+
+
 def min_circular_cover_brute(m, arcs):
     """Exact minimum circular cover by subset enumeration."""
     full = set(range(m))

@@ -313,6 +313,27 @@ def test_size_cap_refuses_recognition(monkeypatch):
     with pytest.raises(SizeCapError):
         grid_graph(1, 1).is_median()
     assert MedianGraph(["a", "b"], [("a", "b")]).is_median().ok
+    # above the cap a disconnected graph is still refused as disconnected
+    with pytest.raises(GraphInputError, match="disconnected"):
+        MedianGraph(list("abcd"), [("a", "b"), ("c", "d")]).is_median()
+
+
+def test_recognition_reads_connectivity_off_the_distance_pass(monkeypatch):
+    # below the cap no separate search runs: the distance pass sets the flag
+    # before anything reads it, and refuses a disconnected graph itself
+    reads = []
+    real = MedianGraph.is_connected
+
+    def spy(self):
+        reads.append("connected" in self._cache)
+        return real.fget(self)
+
+    monkeypatch.setattr(MedianGraph, "is_connected", property(spy))
+    assert grid_graph(3, 3).is_median().ok
+    assert not k23().is_median().ok
+    with pytest.raises(GraphInputError, match="disconnected"):
+        MedianGraph(list("abc"), [("a", "b")]).is_median()
+    assert reads and all(reads)
 
 
 # -- the distance table read off the hyperplanes ----------------------------------
@@ -892,12 +913,29 @@ def test_cubes_match_interval_oracle():
         assert (g.linf_adjacency() == joined).all(), g
 
 
-def test_cube_counts_dimensions_and_maximal_cubes_match_the_inventory():
+def test_cube_counts_dimensions_and_maximal_cubes_match_the_inventory(monkeypatch):
     # read from the cube rows on a fresh copy, before and after its Cube
-    # objects exist, and compared with the full inventory
-    for g in list(FIX.values()) + _seeded_products(60, 2035):
+    # objects exist, and compared with the full inventory; corners are built
+    # for the maximal cubes alone, and not for counts or dimensions
+    corner_rows = []
+    real_corners = MedianGraph._cube_corners
+
+    def corners(self, gates, hs):
+        corner_rows.append(len(gates))
+        return real_corners(self, gates, hs)
+
+    monkeypatch.setattr(MedianGraph, "_cube_corners", corners)
+    rng = random.Random(2036)
+    graphs = list(FIX.values()) + _seeded_products(60, 2035) + [hypercube(5)]
+    graphs += [product_graph(random_tree(t, rng), path_graph(m)) for t, m in ((6, 2), (9, 3), (12, 1))]
+    graphs += [dual_cube_complex(x).graph for x in (
+        hex_chain_complex(4), square_chain_complex(5), two_hexagons_complex(),
+        corner_squares_complex(), ngon_complex(10),
+    )]
+    for g in graphs:
         cubes = g.cubes()
         fresh = MedianGraph(g.ids, [(g.ids[a], g.ids[b]) for a, b in g.edges])
+        corner_rows.clear()
         counts: dict[int, int] = {}
         dims = [1] * g.hyperplane_count
         for c in cubes:
@@ -906,8 +944,10 @@ def test_cube_counts_dimensions_and_maximal_cubes_match_the_inventory():
                 dims[j] = max(dims[j], c.dimension)
         assert list(fresh.cube_counts().items()) == sorted(counts.items()), g
         assert [h.dimension for h in fresh.hyperplanes()] == dims, g
+        assert sum(corner_rows) == 0, g
         maximal = [c for c in cubes if c.maximal]
         assert fresh.maximal_cubes() == maximal, g
+        assert sum(corner_rows) == len(maximal), g
         assert "cubes" not in fresh._cache
         assert fresh.cubes() == cubes and fresh.maximal_cubes() == maximal, g
 

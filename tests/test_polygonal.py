@@ -9,6 +9,7 @@ import pytest
 from bruteforce import (
     best_family_brute,
     dual_orientations_brute,
+    hyperplane_walls_brute,
     min_circular_cover_brute,
     wall_classes_brute,
 )
@@ -18,7 +19,7 @@ from cubekit.errors import (
     SizeCapError,
     ValidationError,
 )
-from cubekit import polygonal
+from cubekit import median, polygonal
 from cubekit.formats import parse_polygons
 from cubekit.polygonal import (
     CELL_CUBE,
@@ -29,6 +30,7 @@ from cubekit.polygonal import (
     SINGLE_VERTEX_NOTE,
     VERTEX_POINT,
     ClassificationReport,
+    DualCubeComplex,
     PolygonalComplex,
     _arcs_on,
     _min_circular_cover,
@@ -81,6 +83,23 @@ def sc_fixtures():
         "square-pendant": square_pendant_complex(),
         "corner-squares": corner_squares_complex(),
         "lone-edge": lone_edge_complex(),
+    }
+
+
+def dual_fixtures():
+    """Every polygonal fixture whose walls are two-sided, and so has a dual."""
+    return {
+        **sc_fixtures(),
+        **{f"{2 * k}-gon": ngon_complex(2 * k) for k in (2, 5, 6)},
+        "no-edges": PolygonalComplex(["a", "b"], {}, {}),
+        "hex-chain-8": hex_chain_complex(8),
+        "square-chain-6": square_chain_complex(6),
+        "three-square-fan": three_square_fan_complex(),
+        "twice-through-hexagon": twice_through_hexagon_complex(),
+        "shared-path-8-2": shared_path_complex(8, 2),
+        "shared-path-10-3": shared_path_complex(10, 3),
+        "covered-square": covered_square_complex(),
+        "covered-square-wrap": covered_square_complex(wrap=True),
     }
 
 
@@ -426,6 +445,11 @@ class TestDualComplex:
                 assert pa == pb or g.dist[g.index[pa], g.index[pb]] == 1, name
 
     def test_hyperplanes_biject_with_walls(self):
+        # the labels read off the edge classes equal the ones read off the
+        # hyperplane inventory, on every polygonal fixture
+        for name, x in dual_fixtures().items():
+            dc = dual_cube_complex(x)
+            assert dc.hyperplane_walls == hyperplane_walls_brute(dc), name
         for x in (square_complex(), two_hexagons_complex(), square_chain_complex(4)):
             dc = dual_cube_complex(x)
             assert sorted(dc.hyperplane_walls) == list(range(len(dc.walls)))
@@ -434,6 +458,32 @@ class TestDualComplex:
                 for ida, idb in hp.dual_edges:
                     sa, sb = dc.orientations[ida], dc.orientations[idb]
                     assert [j for j in range(len(dc.walls)) if sa[j] != sb[j]] == [k]
+
+    def test_dual_builds_no_hyperplane_objects_and_no_cube_corners(self, monkeypatch):
+        # the labels come from the edge classes; the Hyperplane inventory and
+        # the cube corners are left to the callers that read them
+        built = []
+
+        class Spy(median.Hyperplane):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        def corners(self, gates, hs):
+            built.append(len(gates))
+            return real_corners(self, gates, hs)
+
+        real_corners = median.MedianGraph._cube_corners
+        monkeypatch.setattr(median, "Hyperplane", Spy)
+        monkeypatch.setattr(median.MedianGraph, "_cube_corners", corners)
+        for name, x in dual_fixtures().items():
+            dc = dual_cube_complex(x)
+            assert "hyperplanes" not in dc.graph._cache, name
+        assert built == []
+        # the spies do see the inventory when it is asked for
+        dc.graph.hyperplanes()
+        dc.graph.maximal_cubes()
+        assert built
 
     def test_no_edges_collapses_to_point(self):
         dc = dual_cube_complex(PolygonalComplex(["a", "b"], {}, {}))
@@ -496,6 +546,24 @@ class TestClassification:
         assert [(t.kind, t.ref, t.dimension) for t in rep.tags] == [
             (CELL_CUBE, f"P{i}", 2) for i in range(5)
         ]
+
+    def test_classification_ignores_polygon_names(self):
+        # squares P, Q and the hexagon share one wall set; the square cube is
+        # P's whether the hexagon sorts after them (R) or before (H)
+        x = twice_through_hexagon_complex()
+        for name in ("R", "H"):
+            y = PolygonalComplex(
+                x.ids, x.edges, {(name if p == "R" else p): c for p, c in x.polygons.items()}
+            )
+            dc = dual_cube_complex(y)
+            rep = classify_maximal_cubes(dc)
+            assert rep.ok and not rep.unmatched, name
+            assert [(t.kind, t.ref, t.dimension, sorted(t.vertices)) for t in rep.tags] == [
+                (CELL_CUBE, "P", 2, ["o000", "o010", "o100", "o110"]),
+                (EDGE_CUBE, "e25", 1, ["o110", "o111"]),
+            ], name
+            cells = [dual_projection(y, dc, v).cell for v in dc.graph.ids]
+            assert cells == [("polygon", "P")] * 3 + [("vertex", "5"), ("vertex", "2")], name
 
     def test_cell_cube_sizes(self):
         for x in (two_hexagons_complex(), shared_path_complex(8, 2)):
@@ -641,6 +709,59 @@ class TestSeparationTransfer:
         w = next(v for v, cell in points.items() if cell == ("vertex", "5"))
         tr = separation_transfer(x, dc, u, w)
         assert tr.wall_family == () and tr.dual_disjoint == 1 and tr.holds
+
+    def test_kept_chains_give_the_reports_of_a_fresh_dual(self):
+        # every ordered pair on one dual, against a dual with nothing kept
+        # from another pair: the same parts under a new object, so its
+        # points and chains are all made afresh
+        cases = {
+            "hex-chain-4": hex_chain_complex(4),
+            "12-gon": ngon_complex(12),
+            "square-chain-6": square_chain_complex(6),
+            "twice-through-hexagon": twice_through_hexagon_complex(),
+        }
+        for name, x in cases.items():
+            dc = dual_cube_complex(x)
+            rep = classify_maximal_cubes(dc)
+            for u, w in itertools.permutations(dc.graph.ids, 2):
+                fresh = DualCubeComplex(
+                    x, dc.walls, dc.vertex_index, dc.system, dc.graph,
+                    dc.orientations, dc.principal, dc.hyperplane_walls,
+                )
+                assert separation_transfer(x, dc, u, w, rep) == separation_transfer(
+                    x, fresh, u, w, rep
+                ), (name, u, w)
+            # and a dual built anew, classifying its own cubes
+            u, w = dc.graph.ids[-1], dc.graph.ids[0]
+            assert separation_transfer(x, dual_cube_complex(x), u, w) == (
+                separation_transfer(x, dc, u, w, rep)
+            ), name
+
+    def test_kept_chains_serve_only_their_complex_and_report(self):
+        x = square_chain_complex(6)
+        dc = dual_cube_complex(x)
+        rep = classify_maximal_cubes(dc)
+        u, w = dc.principal["t0"], dc.principal["t6"]
+        tr = separation_transfer(x, dc, u, w, rep)
+        assert (tr.dual_disjoint, tr.wall_disjoint) == (6, 4)
+
+        def poison():
+            _, _, (_, dual_chains, wall_chains) = dc._cache["transfer"]
+            assert len(dual_chains) == len(wall_chains) == 1
+            for chains in (dual_chains, wall_chains):
+                chains.update(dict.fromkeys(chains, ()))
+
+        # the same complex and report read the kept chains back
+        poison()
+        kept = separation_transfer(x, dc, u, w, rep)
+        assert (kept.dual_disjoint, kept.wall_disjoint) == (0, 0)
+        # another complex object under the same report, then another report
+        # for the first complex: each starts over
+        for other_x, other_rep in ((square_chain_complex(6), rep), (x, classify_maximal_cubes(dc))):
+            poison()
+            assert separation_transfer(other_x, dc, u, w, other_rep) == tr
+            made_x, made_rep, _ = dc._cache["transfer"]
+            assert made_x is other_x and made_rep is other_rep
 
     def test_chain_eight(self):
         x = square_chain_complex(8)
