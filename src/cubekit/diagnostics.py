@@ -173,12 +173,8 @@ def grid_search(ws: WallSystem, cap: int = GRID_NODE_CAP) -> GridReport:
         return not all(maxq_from(p + k) >= qlen for k in range(1, ext.bit_count() + 1))
 
     nodes, exact = _chain_search(ws, visit, cap)
-    sym = []
-    for p, (q, chain, cross) in table.items():
-        sym.append((p, q, chain, cross))
-        sym.append((q, p, cross, chain))
     norm: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for p, q, chain, cross in sym:
+    for p, (q, chain, cross) in table.items():
         if p < q:
             p, q, chain, cross = q, p, cross, chain
         norm.setdefault((p, q), (chain, cross))
@@ -426,13 +422,15 @@ class DeltaReport:
     method: str
 
 
-def _far_apart(d: np.ndarray, nbrs) -> np.ndarray:
+def _far_apart(d: np.ndarray) -> np.ndarray:
     """Far-apart mask of the metric d: (x, y) is far apart when no
     neighbour of x is farther from y and no neighbour of y is farther from x.
 
-    Row x of ``reach`` is the max of d over x and its neighbours ``nbrs[x]``.
+    Row x of ``reach`` is the max of d over the closed unit ball of x; d is
+    1 exactly between neighbours, in g for l1 and in the cube cone-off for
+    linf.
     """
-    reach = np.array([d[[x, *nb]].max(axis=0) for x, nb in enumerate(nbrs)])
+    reach = np.array([d[ball].max(axis=0) for ball in d <= 1])
     near = reach <= d
     return near & near.T
 
@@ -460,11 +458,7 @@ def delta(g: MedianGraph, metric: str = L1) -> DeltaReport:
             f"(got {g.n})"
         )
     d = g.dist_matrix(metric).astype(np.int64)
-    if metric == L1:
-        nbrs = g.adj
-    else:
-        nbrs = [np.flatnonzero(row) for row in g.linf_adjacency()]
-    us, vs = np.nonzero(np.triu(_far_apart(d, nbrs), 1))
+    us, vs = np.nonzero(np.triu(_far_apart(d), 1))
     duv = d[us, vs]
     best = 0
     arg = None

@@ -297,15 +297,6 @@ def _min_circular_cover(m, arcs):
     Arcs are contiguous, so seeding a greedy sweep at every candidate first
     arc is exact for the circular cover.
     """
-    if not arcs:
-        return None
-    if any(length >= m for _, length in arcs):
-        return 1
-    covered = set()
-    for s, length in arcs:
-        covered.update((s + k) % m for k in range(length))
-    if len(covered) < m:
-        return None
     best = None
     ordered = sorted(arcs)
     for s0, l0 in ordered:
@@ -750,15 +741,6 @@ def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
     )
 
 
-def _wall_meets_cell(wall: Wall, cell) -> bool:
-    kind, ref = cell
-    if kind == "polygon":
-        return ref in wall.polygons
-    if kind == "edge":
-        return ref in wall.edges
-    return False
-
-
 @dataclass(frozen=True)
 class TransferReport:
     """Separation in the dual against separation in the complex.
@@ -812,10 +794,11 @@ def _transfer_end(x, dc, v, report):
 
     Over the walls of ``dc.system``, ``inside`` holds those with the whole
     carrier in side 0, ``touches`` those with some carrier vertex in side 0
-    and ``meets`` those through the point's cell.  The side masks do not
-    imply ``meets``: a wall that passes twice through one polygon can have
-    edges with both ends on one side, and so can pass through a cell whose
-    whole carrier lies on that side.
+    and ``meets`` those through the point's cell: the walls of a polygon's
+    boundary edges or of an edge itself, none for a vertex.  The side masks
+    do not imply ``meets``: a wall that passes twice through one polygon can
+    have edges with both ends on one side, and so can pass through a cell
+    whose whole carrier lies on that side.
     """
     point = dual_projection(x, dc, v, report)
     columns = dc.system.columns
@@ -824,10 +807,11 @@ def _transfer_end(x, dc, v, report):
         col = columns[dc.vertex_index[c]]
         inside &= col
         touches |= col
+    kind, ref = point.cell
+    cell_edges = {"polygon": x.boundary_edges.get(ref), "edge": (ref,)}.get(kind, ())
     meets = 0
-    for wall in dc.walls:
-        if _wall_meets_cell(wall, point.cell):
-            meets |= 1 << wall.index
+    for e in cell_edges:
+        meets |= 1 << dc.wall_of_edge[e]
     return point, inside, touches, meets
 
 

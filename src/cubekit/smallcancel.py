@@ -7,6 +7,7 @@ C'(lambda) / T(q) verdicts with re-verifiable witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,13 +97,7 @@ class Factor:
             return self._norm_cyclic(x + y)
         if self.kind == FREE_ABELIAN:
             return tuple(a + b for a, b in zip(x, y))
-        out = list(x)
-        for s in y:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-        return tuple(out)
+        return _free_reduce(x + y)
 
     def inv(self, x):
         self.check(x)
@@ -110,7 +105,7 @@ class Factor:
             return self._norm_cyclic(-x)
         if self.kind == FREE_ABELIAN:
             return tuple(-a for a in x)
-        return tuple(-s for s in reversed(x))
+        return _inv_free(x)
 
     def is_identity(self, x) -> bool:
         if self.kind == CYCLIC:
@@ -130,14 +125,16 @@ class Factor:
                 if e != 0
             ]
             return " ".join(parts)
-        return _fold_runs([(self.generators[abs(s) - 1], 1 if s > 0 else -1) for s in x])
+        return _format_free(self.generators, x)
 
 
-def _fold_runs(letters) -> str:
-    """Compact display of a letter sequence: a a a b^-1 b^-1 -> a^3 b^-2."""
+def _format_free(generators, word) -> str:
+    """Compact display of a free word of signed generator indices:
+    a a a b^-1 b^-1 -> a^3 b^-2."""
     parts = []
-    for (name, sign), group in itertools.groupby(letters):
-        e = sign * len(list(group))
+    for s, run in itertools.groupby(word):
+        name = generators[abs(s) - 1]
+        e = len(list(run)) * (1 if s > 0 else -1)
         parts.append(name if e == 1 else f"{name}^{e}")
     return " ".join(parts)
 
@@ -155,9 +152,7 @@ class FreeGroupPresentation:
         return FREE_GROUP
 
     def display(self, word) -> str:
-        return _fold_runs(
-            [(self.generators[abs(s) - 1], 1 if s > 0 else -1) for s in word]
-        )
+        return _format_free(self.generators, word)
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ class FreeProductPresentation:
         )
 
 
-def _free_reduce(word: list[int]) -> tuple[int, ...]:
+def _free_reduce(word) -> tuple[int, ...]:
     out: list[int] = []
     for s in word:
         if out and out[-1] == -s:
@@ -316,30 +311,30 @@ def _rotate_product(factors, word):
 
 
 def symmetrize(p) -> SymmetrizedFamily:
-    """Close the relators under inverses and cyclic conjugation."""
+    """Close the relators under inverses and cyclic conjugation.
+
+    The closure is the cyclic orbit of each relator and of its inverse: the
+    walk rotates until it meets a word already seen.  The inverse of a
+    rotation is a rotation of the inverse, so nothing else is needed.  A
+    free-product relator whose end letters share a factor merges them on
+    its first rotation; the merged word is cyclically reduced, so its orbit
+    is the relator followed by the rotations of the merged word.
+    """
     if p.kind == FREE_GROUP:
-        members = set()
-        for r in p.relators:
-            for w in (r, _inv_free(r)):
-                for k in range(len(w)):
-                    members.add(w[k:] + w[:k])
-        ordered = tuple(sorted(members, key=lambda w: (len(w), w)))
-        return SymmetrizedFamily(FREE_GROUP, p, ordered, len(p.relators), "")
-    factors = p.factors
+        rotate, inverse = (lambda w: w[1:] + w[:1]), _inv_free
+        key, note = (lambda w: (len(w), w)), ""
+    else:
+        rotate = functools.partial(_rotate_product, p.factors)
+        inverse = functools.partial(_inv_product, p.factors)
+        key, note = (lambda w: (len(w), repr(w))), LETTER_BOUNDARY_NOTE
     members = set()
-    frontier = list(p.relators)
-    for w in frontier:
-        members.add(w)
-    while frontier:
-        w = frontier.pop()
-        for nxt in (_rotate_product(factors, w), _inv_product(factors, w)):
-            if nxt not in members:
-                members.add(nxt)
-                frontier.append(nxt)
-    ordered = tuple(sorted(members, key=lambda w: (len(w), repr(w))))
-    return SymmetrizedFamily(
-        FREE_PRODUCT, p, ordered, len(p.relators), LETTER_BOUNDARY_NOTE
-    )
+    for r in p.relators:
+        for w in (r, inverse(r)):
+            while w not in members:
+                members.add(w)
+                w = rotate(w)
+    ordered = tuple(sorted(members, key=key))
+    return SymmetrizedFamily(p.kind, p, ordered, len(p.relators), note)
 
 
 # -- pieces --------------------------------------------------------------------------

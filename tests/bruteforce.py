@@ -17,6 +17,7 @@ from cubekit.diagnostics import EXACT, LOWER_BOUND, BigonReport, FlatRectangle
 from cubekit.errors import ConsistencyError, GraphInputError, SizeCapError
 from cubekit.median import ConvexityVerdict, Cube, MedianGraph
 from cubekit.racg import DecompositionVerdict, RacgBall, maximal_large_joins
+from cubekit.smallcancel import FREE_GROUP, LETTER_BOUNDARY_NOTE, SymmetrizedFamily
 
 
 def adj_dict(g) -> dict[str, set[str]]:
@@ -656,6 +657,25 @@ def flat_rectangles(g, cap: int = FLAT_STATE_CAP) -> tuple[list[FlatRectangle], 
     return list(by_set.values()), EXACT if exact else LOWER_BOUND, states
 
 
+def far_apart_brute(g, metric: str) -> np.ndarray:
+    """Far-apart mask from neighbour lists: (x, y) is far apart when no
+    neighbour of x is farther from y and no neighbour of y is farther from
+    x.  Neighbours are those of g for l1 and of the cube cone-off for linf."""
+    d = g.dist_matrix(metric)
+    if metric == "l1":
+        nbrs = g.adj
+    else:
+        nbrs = [np.flatnonzero(row) for row in g.linf_adjacency()]
+    n = len(d)
+    mask = np.zeros((n, n), dtype=bool)
+    for x in range(n):
+        for y in range(n):
+            mask[x, y] = all(d[z, y] <= d[x, y] for z in nbrs[x]) and all(
+                d[x, z] <= d[x, y] for z in nbrs[y]
+            )
+    return mask
+
+
 def delta_scan_brute(d: np.ndarray):
     """Four-point constant of an integer distance table by the full scan of
     every pair (x, y) against every (u, v), one vectorised block per pair.
@@ -1130,6 +1150,31 @@ def fp_fits_brute(factors, p, r):
     if fi != fj:
         return True
     return not factors[fi].is_identity(factors[fi].mul(last, first))
+
+
+def symmetrize_closure_brute(p) -> SymmetrizedFamily:
+    """The symmetrized family as a breadth-first closure: every member found
+    is rotated by one letter (through group arithmetic for free products)
+    and inverted, until nothing new appears."""
+    if p.kind == FREE_GROUP:
+        def moves(w):
+            return w[1:] + w[:1], tuple(-s for s in reversed(w))
+
+        key, note = (lambda w: (len(w), w)), ""
+    else:
+        def moves(w):
+            return fp_concat_brute(p.factors, w[1:], w[:1]), fp_inv_brute(p.factors, w)
+
+        key, note = (lambda w: (len(w), repr(w))), LETTER_BOUNDARY_NOTE
+    members = set(p.relators)
+    frontier = list(members)
+    while frontier:
+        for nxt in moves(frontier.pop()):
+            if nxt not in members:
+                members.add(nxt)
+                frontier.append(nxt)
+    ordered = tuple(sorted(members, key=key))
+    return SymmetrizedFamily(p.kind, p, ordered, len(p.relators), note)
 
 
 def sc_max_piece_brute(members, fits):

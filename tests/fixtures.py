@@ -259,16 +259,23 @@ def corner_squares_complex() -> PolygonalComplex:
     )
 
 
-def twice_through_hexagon_complex() -> PolygonalComplex:
+def twice_through_hexagon_complex(tail: bool = False) -> PolygonalComplex:
     """Squares P (0 1 6 3) and Q (1 4 5 6), a hexagon R (0 1 4 5 3 6) and a
     pendant edge 5-2.  One wall passes twice through R, through the opposite
     pairs 01/53 and 14/36, and also takes 56: its edges 01 and 36 have both
-    ends on its side {0, 1, 3, 6}, which holds the whole boundary of P."""
+    ends on its side {0, 1, 3, 6}, which holds the whole boundary of P.
+
+    ``tail`` adds a pendant edge 6-7, and vertex 6 then projects to itself.
+    By the sides alone that wall separates vertex 5 both from vertex 6 and
+    from P's centre; only the pair at vertex 6 keeps it past the cell test,
+    so the two pairs have one side mask and two wall masks."""
     es = {"e01": ("0", "1"), "e03": ("0", "3"), "e06": ("0", "6"), "e14": ("1", "4"),
           "e16": ("1", "6"), "e35": ("3", "5"), "e36": ("3", "6"), "e45": ("4", "5"),
           "e56": ("5", "6"), "e25": ("2", "5")}
+    if tail:
+        es["e67"] = ("6", "7")
     return PolygonalComplex(
-        list("0123456"), es,
+        list("01234567" if tail else "0123456"), es,
         {"P": [("e01", 1), ("e16", 1), ("e36", -1), ("e03", -1)],
          "Q": [("e14", 1), ("e45", 1), ("e56", 1), ("e16", -1)],
          "R": [("e01", 1), ("e14", 1), ("e45", 1), ("e35", -1), ("e36", 1),

@@ -35,6 +35,7 @@ from cubekit.diagnostics import (
     verify_flat_rectangle,
     verify_grid,
     walls_in_grids,
+    _far_apart,
 )
 from cubekit.errors import (
     ConsistencyError,
@@ -44,6 +45,7 @@ from cubekit.errors import (
     ValidationError,
 )
 from cubekit.median import L1, LINF, MedianGraph, ram_bound
+from cubekit.racg import DefiningGraph, ball as racg_ball
 
 
 def rows_family(width, height):
@@ -655,6 +657,29 @@ def _gap(d, quad):
     x, y, u, v = quad
     s = sorted([d[x, y] + d[u, v], d[x, u] + d[y, v], d[x, v] + d[y, u]])
     return int(s[2] - s[1])
+
+
+def test_far_apart_mask_from_unit_balls_matches_neighbour_lists():
+    # d == 1 exactly between neighbours, in g for l1 and in the cube
+    # cone-off for linf, so the closed unit ball of the table is enough
+    pentagon = DefiningGraph(list("abcde"), [(v, "bcdea"[i]) for i, v in enumerate("abcde")])
+    two_squares = DefiningGraph(
+        ["a1", "a2", "a3", "a4", "m", "b1", "b2", "b3", "b4"],
+        [("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a1"), ("b1", "b2"),
+         ("b2", "b3"), ("b3", "b4"), ("b4", "b1"), ("a1", "m"), ("m", "b1")],
+    )
+    cases = [
+        *fx.named_fixtures().values(),
+        *(fx.random_tree(n, random.Random(n)) for n in (5, 12, 30)),
+        *(fx.hypercube(k) for k in (1, 2, 3, 4)),
+        *_seeded_products(16, 5),
+        racg_ball(pentagon, 4).graph,
+        racg_ball(two_squares, 2).graph,
+    ]
+    for g in cases:
+        for metric in (L1, LINF):
+            d = g.dist_matrix(metric).astype(np.int64)
+            assert (_far_apart(d) == bf.far_apart_brute(g, metric)).all(), (g, metric)
 
 
 def test_far_apart_delta_matches_full_scan():

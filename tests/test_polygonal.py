@@ -1,6 +1,7 @@
 """Polygonal complexes: validation, pieces, SC conditions, walls, duals."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -306,6 +307,21 @@ class TestSCCheck:
                 assert _min_circular_cover(m, arcs) == min_circular_cover_brute(
                     m, arcs
                 )
+
+    def test_cover_matches_bruteforce_on_random_arcs(self):
+        # no arcs, a full-length arc and an uncovered position included
+        rng = random.Random(11)
+        cases = [(5, set()), (5, {(2, 5)}), (6, {(0, 2), (3, 3)}), (4, {(3, 6)})]
+        for _ in range(400):
+            m = rng.randint(1, 9)
+            arcs = {(rng.randrange(m), rng.randint(1, m)) for _ in range(rng.randint(0, 5))}
+            cases.append((m, arcs))
+        seen = set()
+        for m, arcs in cases:
+            want = min_circular_cover_brute(m, arcs)
+            assert _min_circular_cover(m, arcs) == want, (m, arcs)
+            seen.add(want)
+        assert {None, 1, 2, 3} <= seen
 
     def test_fan_link_fail(self):
         rep = polygonal_sc_check(three_square_fan_complex(), QUARTER)
@@ -719,6 +735,7 @@ class TestSeparationTransfer:
             "12-gon": ngon_complex(12),
             "square-chain-6": square_chain_complex(6),
             "twice-through-hexagon": twice_through_hexagon_complex(),
+            "twice-through-hexagon-tail": twice_through_hexagon_complex(tail=True),
         }
         for name, x in cases.items():
             dc = dual_cube_complex(x)

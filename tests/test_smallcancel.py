@@ -20,6 +20,7 @@ from bruteforce import (
     fp_inv_brute,
     free_reduce_brute,
     sc_max_piece_brute,
+    symmetrize_closure_brute,
 )
 from cubekit.errors import FormatError, GraphInputError, ValidationError
 from cubekit.smallcancel import (
@@ -27,6 +28,8 @@ from cubekit.smallcancel import (
     FREE_PRODUCT,
     LETTER_BOUNDARY_NOTE,
     Factor,
+    FreeGroupPresentation,
+    FreeProductPresentation,
     check_small_cancellation,
     expand_family,
     pieces,
@@ -668,6 +671,108 @@ class TestVerdictShape:
         )
         v = check_small_cancellation(p, QUARTER)
         assert v.cprime.passed == (not fails)
+
+
+def _random_free_group(rng):
+    rank = rng.randint(1, 3)
+    rels, count = [], rng.randint(1, 3)
+    while len(rels) < count:
+        word = free_reduce_brute(
+            [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(1, 9))]
+        )
+        if word and word[0] != -word[-1]:
+            rels.append(word)
+    return FreeGroupPresentation(tuple("abc"[:rank]), tuple(dict.fromkeys(rels)))
+
+
+def _random_factor(rng, name):
+    kind = rng.choice(("cyclic", "free-abelian", "free"))
+    if kind == "cyclic":
+        return Factor(name, kind, rng.choice((0, 3, 4, 5)), (name.lower(),))
+    rank = rng.randint(1, 2)
+    return Factor(name, kind, rank, tuple(f"{name.lower()}{i}" for i in range(rank)))
+
+
+def _random_element(rng, f):
+    while True:
+        el = f.letter(rng.choice(f.generators), rng.choice((-2, -1, 1, 2)))
+        for _ in range(rng.randint(0, 2)):
+            el = f.mul(el, f.letter(rng.choice(f.generators), rng.choice((-2, -1, 1, 2))))
+        if not f.is_identity(el):
+            return el
+
+
+def _random_free_product(rng, same_ends):
+    """Relators alternate between factors; with ``same_ends`` the first has
+    end letters in one factor that do not cancel, otherwise no relator has."""
+    factors = tuple(_random_factor(rng, name) for name in "XYZ"[: rng.randint(2, 3)])
+    rels, count = [], rng.randint(1, 3)
+    while len(rels) < count:
+        n = rng.randint(3, 7) if same_ends and not rels else rng.randint(1, 7)
+        seq = [rng.randrange(len(factors))]
+        while len(seq) < n:
+            seq.append(rng.choice([i for i in range(len(factors)) if i != seq[-1]]))
+        if same_ends and not rels:
+            if seq[-2] == seq[0]:
+                continue
+            seq[-1] = seq[0]
+        elif n > 1 and seq[0] == seq[-1]:
+            continue
+        word = tuple((fi, _random_element(rng, factors[fi])) for fi in seq)
+        f = factors[seq[0]]
+        if n > 1 and seq[0] == seq[-1] and f.is_identity(f.mul(word[-1][1], word[0][1])):
+            continue
+        rels.append(word)
+    return FreeProductPresentation(factors, tuple(dict.fromkeys(rels)))
+
+
+ORACLE_FIXTURES = [
+    fixture_g(k, values)
+    for k in (2, 3, 4, 5, 6)
+    for values in ("1", "1,2", "2,3", "1,2,3")
+] + [
+    fixture_g(3, "1,2,3,4"),
+    fixture_k(5),
+    *(
+        fixture_h(orders, k, values)
+        for orders in [(4, 4, 4, 4), (5, 5, 5, 5), (4, 5, 6, 7), (5, 6, 7, 8),
+                       (3, 5, 5, 5), (2, 2, 2, 2)]
+        for k in (3, 4, 5)
+        for values in ("1", "1,2", "1,2,3")
+    ),
+    "generators a b\nrelator a b\n",
+    "generators a b\nrelator a b a b^-1\nrelator b a^-1 b a\n",
+    "factor X cyclic 0 x\nfactor Y cyclic 0 y\nrelator (x y)^5\n",
+    "factor X cyclic 0 x\nfactor Y cyclic 0 y\nrelator x y x^2\nrelator x y x^5\n",
+    "factor A free-abelian 2 a b\nrelator (a b)^5\n",
+    "factor F free 2 a b\nfactor G cyclic 3 c\nrelator a b c a^-1 c b\n",
+    TRIANGLE,
+    FOUR_CHAIN,
+    CANCELLING_CYCLES,
+]
+
+
+class TestSymmetrizeOracle:
+    """The cyclic orbits equal the breadth-first closure of the oracle."""
+
+    @pytest.mark.parametrize("text", ORACLE_FIXTURES)
+    def test_fixtures_match_closure(self, text):
+        p = presentation_from_text(text)
+        assert symmetrize(p) == symmetrize_closure_brute(p)
+
+    def test_random_presentations_match_closure(self):
+        rng = random.Random(24)
+        kinds = {FREE_GROUP: 0, FREE_PRODUCT: 0, "same ends": 0}
+        for i in range(2400):
+            if i % 2 == 0:
+                p = _random_free_group(rng)
+            else:
+                p = _random_free_product(rng, same_ends=i % 4 == 1)
+                r = p.relators[0]
+                kinds["same ends"] += len(r) > 1 and r[0][0] == r[-1][0]
+            kinds[p.kind] += 1
+            assert symmetrize(p) == symmetrize_closure_brute(p), p
+        assert kinds == {FREE_GROUP: 1200, FREE_PRODUCT: 1200, "same ends": 600}
 
 
 @pytest.mark.parametrize(
