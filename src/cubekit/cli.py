@@ -31,7 +31,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -79,17 +78,6 @@ ANCHORS = {
 }
 
 
-@dataclass
-class AnalysisReport:
-    command: str
-    inputs: list[dict]
-    parameters: dict
-    results: list[dict]
-    verdict: bool | None
-    anchors: list[str]
-    duration_s: float
-
-
 def _plain(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
@@ -124,34 +112,22 @@ def _result(quantity, value, method=EXACT, witness=None):
     return out
 
 
-def _emit(report: AnalysisReport, as_json: bool) -> int:
+def _emit(payload: dict, as_json: bool) -> int:
     if as_json:
-        payload = {
-            "command": report.command,
-            "inputs": report.inputs,
-            "parameters": _plain(report.parameters),
-            "results": report.results,
-            "verdict": report.verdict,
-            "anchors": report.anchors,
-            "duration_s": round(report.duration_s, 6),
-        }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(report.command)
-        for inp in report.inputs:
+        print(payload["command"])
+        for inp in payload["inputs"]:
             print(f"  input {inp['path']}  sha256:{inp['sha256'][:12]}")
-        for k, v in sorted(report.parameters.items()):
-            print(f"  param {k} = {_plain(v)}")
-        for r in report.results:
-            line = f"{r['quantity']}: {r['value']}  [{r['method']}]"
-            print(line)
+        for k, v in sorted(payload["parameters"].items()):
+            print(f"  param {k} = {v}")
+        for r in payload["results"]:
+            print(f"{r['quantity']}: {r['value']}  [{r['method']}]")
             if "witness" in r:
                 print(f"  witness: {r['witness']}")
-        if report.verdict is not None:
-            print("verdict:", "pass" if report.verdict else "fail")
-    if report.verdict is False:
-        return 1
-    return 0
+        if payload["verdict"] is not None:
+            print("verdict:", "pass" if payload["verdict"] else "fail")
+    return 1 if payload["verdict"] is False else 0
 
 
 def _load_graph(path: str):
@@ -842,16 +818,16 @@ def main(argv=None) -> int:
         inputs, params, results, verdict = args.handler(args)
     except Exception as e:
         return _fail(e)
-    report = AnalysisReport(
-        command=command,
-        inputs=inputs,
-        parameters=params,
-        results=results,
-        verdict=verdict,
-        anchors=[ANCHORS[command]],
-        duration_s=time.perf_counter() - start,
-    )
-    return _emit(report, args.json)
+    payload = {
+        "command": command,
+        "inputs": inputs,
+        "parameters": _plain(params),
+        "results": results,
+        "verdict": verdict,
+        "anchors": [ANCHORS[command]],
+        "duration_s": round(time.perf_counter() - start, 6),
+    }
+    return _emit(payload, args.json)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .formats import RawComplex
-from .median import MedianGraph, WallSystem, _row_bits, side_meets
+from .median import IS_MEDIAN_CAP, MedianGraph, WallSystem, _row_bits, side_meets
 
 EDGE_CUBE = "edge-cube"
 CELL_CUBE = "cell-cube"
@@ -42,9 +42,6 @@ VERTEX_POINT = "vertex"
 EDGE_MIDPOINT = "edge-midpoint"
 SEGMENT_MIDPOINT = "segment-midpoint"
 POLYGON_CENTER = "polygon-center"
-
-COVER_BOUNDARY_CAP = 24
-DUAL_VERTEX_CAP = 4096
 
 SINGLE_VERTEX_NOTE = (
     "surrounding polygons meet in a single vertex; the projection emits "
@@ -323,11 +320,6 @@ def _cover_verdict(x, pcs, n):
     covers = []
     witness = None
     for pid in sorted(x.polygons):
-        if x.sides(pid) > COVER_BOUNDARY_CAP:
-            raise SizeCapError(
-                f"polygon {pid} has {x.sides(pid)} sides; piece-cover "
-                f"search is capped at {COVER_BOUNDARY_CAP}"
-            )
         m, arcs = _arcs_on(x, pid, pcs)
         val = _min_circular_cover(m, arcs)
         covers.append((pid, val))
@@ -471,10 +463,14 @@ class DualCubeComplex:
     ``sides[k, i]`` is true when vertex ``base.ids[i]`` (``vertex_index``
     maps ids to columns) lies in side 0 of wall k, and two walls are
     transverse exactly when they pass through a common polygon.
-    ``wall_of_edge`` maps every edge to its wall.  ``_cache`` holds what
-    projection and separation transfer make once per dual: the maximal-cube
-    classification, each projected vertex with its wall masks, and each
-    chain by its separating mask.
+    ``wall_of_edge`` maps every edge to its wall.
+
+    What is derived from the dual alone is made at most once and kept on it
+    for its lifetime: the maximal-cube classification, each dual vertex's
+    projection with its wall masks (``_transfer_end``), and each longest
+    chain by its separating mask, the dual's as found and the walls' sorted.
+    They hold at most one entry per vertex or mask asked for, and each is
+    the same function of the same key, so a kept one is exact.
     """
 
     def __init__(self, base, wall_list, vertex_index, system, graph,
@@ -488,7 +484,8 @@ class DualCubeComplex:
         self.orientations = orientations
         self.principal = principal
         self.hyperplane_walls = hyperplane_walls
-        self._cache: dict[str, object] = {}
+        self._classification = None
+        self._ends, self._dual_chains, self._wall_chains = {}, {}, {}
 
     def __repr__(self):
         return (
@@ -517,12 +514,6 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
     transverse = carriers @ carriers.T > 0
     np.fill_diagonal(transverse, False)
     system = WallSystem(sides, transverse)
-    if h == 0:
-        graph = MedianGraph(("o",), ())
-        principal = {v: "o" for v in x.ids}
-        return DualCubeComplex(
-            x, ws, index, system, graph, {"o": ()}, principal, ()
-        )
 
     # an orientation is an int whose bit k is the side chosen for wall k;
     # clash[b][c][k] holds the walls j != k whose side c misses side b of k
@@ -531,7 +522,8 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
     clash = [[_row_bits(apart[b, c]) for c in (0, 1)] for b in (0, 1)]
 
     def name(o):
-        return "o" + format(o, f"0{h}b")[::-1]
+        # o's h bits, wall 0 first; the leading 1 is dropped, so no walls spell "o"
+        return "o" + format(o | 1 << h, "b")[:0:-1]
 
     seen: dict[int, str] = {}
     principal = {}
@@ -539,16 +531,19 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
         principal[v] = seen.setdefault(o, name(o))
     queue = list(seen)
     for o in queue:
+        # every vertex found is dequeued, so this sees the final count too;
+        # a dual past the cap of median recognition could never be recognised
+        if len(seen) > IS_MEDIAN_CAP:
+            raise SizeCapError(
+                f"dual complex exceeds {IS_MEDIAN_CAP} vertices, the "
+                "IS_MEDIAN_CAP of median recognition"
+            )
         for k in range(h):
             b = (o >> k & 1) ^ 1
             if ~o & clash[b][0][k] or o & clash[b][1][k]:
                 continue
             t = o ^ (1 << k)
             if t not in seen:
-                if len(seen) >= DUAL_VERTEX_CAP:
-                    raise SizeCapError(
-                        f"dual complex exceeds {DUAL_VERTEX_CAP} vertices"
-                    )
                 seen[t] = name(t)
                 queue.append(t)
 
@@ -559,7 +554,10 @@ def dual_cube_complex(x: PolygonalComplex) -> DualCubeComplex:
             if t in seen:
                 edge_set.add(tuple(sorted((vid, seen[t]))))
     graph = MedianGraph(sorted(seen.values()), sorted(edge_set))
-    graph.require_median()
+    # median by construction (Sageev 1995), so a failure here is a bug
+    verdict = graph.is_median()
+    if not verdict.ok:
+        raise ConsistencyError(f"the dual is not median at triple {verdict.witness}")
 
     # each hyperplane's edge class must flip one wall, and each wall once
     code = {vid: o for o, vid in seen.items()}
@@ -611,7 +609,10 @@ def classify_maximal_cubes(dc: DualCubeComplex) -> ClassificationReport:
     its sides, and can share its wall set with a smaller polygon).
     Anything else lands in ``unmatched`` with its wall set, which flags
     inputs outside the small-cancellation regime rather than raising.
+    The report is made once per dual and kept on it.
     """
+    if dc._classification is not None:
+        return dc._classification
     x = dc.base
     poly_sets: dict[frozenset[int], list[str]] = {}
     for pid in sorted(x.polygons):
@@ -635,7 +636,10 @@ def classify_maximal_cubes(dc: DualCubeComplex) -> ClassificationReport:
         else:
             unmatched.append((tuple(sorted(wset)), cube.vertices))
     tags.sort(key=lambda t: (t.kind, t.ref, sorted(t.vertices)))
-    return ClassificationReport(not unmatched, tuple(tags), tuple(unmatched))
+    dc._classification = ClassificationReport(
+        not unmatched, tuple(tags), tuple(unmatched)
+    )
+    return dc._classification
 
 
 @dataclass(frozen=True)
@@ -655,11 +659,14 @@ class ProjectionPoint:
     note: str = ""
 
 
-def _own_classification(dc: DualCubeComplex) -> ClassificationReport:
-    """The dual's maximal cubes classified once, for calls without a report."""
-    if "classification" not in dc._cache:
-        dc._cache["classification"] = classify_maximal_cubes(dc)
-    return dc._cache["classification"]
+def _own_report(x, dc, report) -> ClassificationReport:
+    """The dual's classification, once ``x`` and ``report`` are its own."""
+    if x is not dc.base:
+        raise ValidationError("the complex is not the one the dual was built from")
+    own = classify_maximal_cubes(dc)
+    if report not in (None, own):
+        raise ValidationError("the report is not the dual's classification")
+    return own
 
 
 def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
@@ -670,12 +677,11 @@ def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
     intersected: a whole polygon projects to its center, a shared segment
     to its midpoint, and a single shared vertex to that vertex.
 
-    Without a ``report`` the dual's maximal cubes are classified on the
-    first such call and the classification is kept on ``dc``.
+    ``x`` must be ``dc.base`` and ``report`` None or the dual's own
+    classification; anything else is a ``ValidationError``.
     """
     dc.graph.indices_of([v])  # an unknown id is bad input, not a bug
-    if report is None:
-        report = _own_classification(dc)
+    report = _own_report(x, dc, report)
     for wset, verts in report.unmatched:
         if v in verts:
             raise ConsistencyError(
@@ -764,33 +770,9 @@ class TransferReport:
         return self.wall_disjoint >= self.dual_disjoint - 2
 
 
-def _transfer_cache(x, dc, report):
-    """The report a transfer runs under, and what transfers on ``dc`` keep
-    for it: (ends, dual chains, wall chains), three dicts.
-
-    ``ends`` maps each vertex asked for to its projection with its wall
-    masks (see ``_transfer_end``); the chain dicts map each separating mask
-    asked for to its ``longest_chain`` members: the dual's as found, to be
-    ordered toward each pair's first vertex, and the walls' sorted.  They
-    hold at most one entry per distinct vertex or mask, and each chain is
-    smaller than the ``TransferReport`` the caller already keeps.  Each
-    chain is the same function of the same mask, so a kept one is exact.
-    All three are kept on ``dc`` together with the complex and the report
-    they were made under; a call with another complex or report starts
-    over.
-    """
-    if report is None:
-        report = _own_classification(dc)
-    made_x, made_report, kept = dc._cache.get("transfer", (None, None, None))
-    if made_x is not x or made_report is not report:
-        kept = ({}, {}, {})
-        dc._cache["transfer"] = (x, report, kept)
-    return report, kept
-
-
-def _transfer_end(x, dc, v, report):
+def _transfer_end(dc, v):
     """``v``'s projection with the wall masks a transfer needs, as
-    (point, inside, touches, meets).
+    (point, inside, touches, meets), kept on ``dc`` for its lifetime.
 
     Over the walls of ``dc.system``, ``inside`` holds those with the whole
     carrier in side 0, ``touches`` those with some carrier vertex in side 0
@@ -800,7 +782,10 @@ def _transfer_end(x, dc, v, report):
     have edges with both ends on one side, and so can pass through a cell
     whose whole carrier lies on that side.
     """
-    point = dual_projection(x, dc, v, report)
+    if v in dc._ends:
+        return dc._ends[v]
+    x = dc.base
+    point = dual_projection(x, dc, v)
     columns = dc.system.columns
     inside, touches = -1, 0
     for c in point.carrier:
@@ -812,7 +797,8 @@ def _transfer_end(x, dc, v, report):
     meets = 0
     for e in cell_edges:
         meets |= 1 << dc.wall_of_edge[e]
-    return point, inside, touches, meets
+    dc._ends[v] = point, inside, touches, meets
+    return dc._ends[v]
 
 
 def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
@@ -822,14 +808,14 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     the carriers sit on opposite sides; disjointness of walls means no
     shared polygon, disjointness of dual hyperplanes means not transverse.
 
-    Each dual vertex is projected once per dual and report, and with it
-    are kept its carrier's wall-side bits (their AND and OR over the
-    carrier) and the walls meeting its cell.  These depend on nothing but
-    the vertex, so the cached masks are exact: a wall splits the carriers
-    when one carrier's AND has it in side 0 and the other's OR does not.
-    The dual separating set is the XOR of the two vertices' halfspace
-    columns.  Each chain is found once per distinct separating mask (see
-    ``_transfer_cache``); only its order toward u is per pair.
+    ``x`` must be ``dc.base`` and ``report`` None or the dual's own
+    classification; anything else is a ``ValidationError``.  Each dual
+    vertex is projected once per dual, and with it are kept its carrier's
+    wall-side bits (their AND and OR over the carrier) and the walls meeting
+    its cell: a wall splits the carriers when one carrier's AND has it in
+    side 0 and the other's OR does not.  The dual separating set is the XOR
+    of the two vertices' halfspace columns.  Each chain is found once per
+    dual and distinct separating mask; only its order toward u is per pair.
 
     Both families are ``WallSystem.longest_chain`` of their separating
     mask, ordered toward u for the dual: inside one pair's separating set,
@@ -842,23 +828,20 @@ def separation_transfer(x, dc, u, w, report=None) -> TransferReport:
     t, r share a polygon, share none either: its boundary would have
     vertices on both sides of t and so an edge of t.
     """
-    report, (ends, dual_chains, wall_chains) = _transfer_cache(x, dc, report)
-    for v in (u, w):
-        if v not in ends:
-            ends[v] = _transfer_end(x, dc, v, report)
-    pu, inside_u, touches_u, meets_u = ends[u]
-    pw, inside_w, touches_w, meets_w = ends[w]
+    _own_report(x, dc, report)
+    pu, inside_u, touches_u, meets_u = _transfer_end(dc, u)
+    pw, inside_w, touches_w, meets_w = _transfer_end(dc, w)
     ws, rep = dc.graph.wall_system, tuple(dc.graph.indices_of([u, w]))
     separating = ws.columns[rep[0]] ^ ws.columns[rep[1]]
-    if separating not in dual_chains:
-        dual_chains[separating] = ws.longest_chain(separating)[1]
-    dual_family = ws.order_chain(dual_chains[separating], rep)
+    if separating not in dc._dual_chains:
+        dc._dual_chains[separating] = ws.longest_chain(separating)[1]
+    dual_family = ws.order_chain(dc._dual_chains[separating], rep)
 
     apart = inside_u & ~touches_w | inside_w & ~touches_u
     mask = apart & ~meets_u & ~meets_w
-    if mask not in wall_chains:
-        wall_chains[mask] = tuple(sorted(dc.system.longest_chain(mask)[1]))
-    wall_family = wall_chains[mask]
+    if mask not in dc._wall_chains:
+        dc._wall_chains[mask] = tuple(sorted(dc.system.longest_chain(mask)[1]))
+    wall_family = dc._wall_chains[mask]
     return TransferReport(
         u, w, pu, pw, len(dual_family), len(wall_family), dual_family, wall_family
     )

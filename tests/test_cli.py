@@ -74,6 +74,26 @@ edge e5 v5 v0
 polygon P : +e0 +e1 +e2 +e3 +e4 +e5
 """
 
+WALL_LESS_POLY = """\
+vertex a
+vertex b
+"""
+
+WALL_LESS_DUAL = """\
+# dual cube complex of {path}
+vertex o
+# sidecar: wall labels
+# principal a -> o
+# principal b -> o
+"""
+
+
+def ngon_text(n):
+    text = "".join(f"vertex v{i}\n" for i in range(n))
+    text += "".join(f"edge e{i} v{i} v{(i + 1) % n}\n" for i in range(n))
+    return text + "polygon P : " + " ".join(f"+e{i}" for i in range(n)) + "\n"
+
+
 TRIANGLE_POLY = """\
 vertex p
 vertex q
@@ -152,13 +172,27 @@ class TestExitCodes:
         assert cli.main(["poly", "sc", path]) == 2
 
     def test_size_cap_is_four(self, files, capsys):
-        # 26 sides is past the piece-cover search cap of 24
-        n = 26
-        text = "".join(f"vertex v{i}\n" for i in range(n))
-        text += "".join(f"edge e{i} v{i} v{(i + 1) % n}\n" for i in range(n))
-        text += "polygon P : " + " ".join(f"+e{i}" for i in range(n)) + "\n"
-        assert cli.main(["poly", "sc", files("big", text)]) == 4
-        assert "capped at 24" in capsys.readouterr().err
+        # the 26-gon's dual is the 13-cube, past the median recognition cap
+        path = files("big", ngon_text(26))
+        assert cli.main(["poly", "dual", path]) == 4
+        assert "exceeds 4000 vertices, the IS_MEDIAN_CAP" in capsys.readouterr().err
+
+    def test_poly_sc_answers_any_polygon(self, files, capsys):
+        code, rep = run_json(capsys, ["poly", "sc", files("big", ngon_text(26))])
+        assert code == 0
+        results = {r["quantity"]: r for r in rep["results"]}
+        assert results["piece_count"]["value"] == 0
+        assert results["cover_values"]["value"] == {"P": None}
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_failed_cubulation_is_three(self, as_json, files, capsys, monkeypatch):
+        # the dual is median by construction, so a failed recognition is a bug
+        def not_median(self):
+            return median.MedianVerdict(False, ("a", "b", "c"), ())
+
+        monkeypatch.setattr(median.MedianGraph, "is_median", not_median)
+        assert cli.main(as_json + ["poly", "dual", files("h", HEX_POLY)]) == 3
+        assert "the dual is not median" in capsys.readouterr().err
 
     def test_median_size_cap_is_four(self, files, capsys, monkeypatch):
         monkeypatch.setattr(median, "IS_MEDIAN_CAP", 3)
@@ -722,6 +756,24 @@ class TestPolyCommands:
         assert g.is_median().ok
         assert "# wall 0 : e0 e3" in out
         assert "# principal v0 ->" in out
+
+    def test_wall_less_dual(self, files, capsys):
+        # one vertex, no edges, every complex vertex on it
+        path = files("w", WALL_LESS_POLY)
+        assert cli.main(["poly", "dual", path]) == 0
+        assert capsys.readouterr().out == WALL_LESS_DUAL.format(path=path)
+        code, rep = run_json(capsys, ["poly", "dual", path])
+        assert code == 0
+        values = [(r["quantity"], r["value"], r["method"]) for r in rep["results"]]
+        assert values == [
+            ("vertices", 1, "exact"),
+            ("edges", 0, "exact"),
+            ("walls", 0, "exact"),
+            ("hyperplane_walls", [], "exact"),
+            ("graph", {"edges": [], "vertices": ["o"]}, "exact"),
+            ("principal", {"a": "o", "b": "o"}, "exact"),
+        ]
+        assert rep["parameters"] == {} and rep["verdict"] is None
 
     def test_dual_json(self, files, capsys):
         _, rep = run_json(capsys, ["poly", "dual", files("h", HEX_POLY)])

@@ -108,6 +108,17 @@ def test_cli_import_version_help_and_usage_errors_load_no_layer():
     assert modules == {"cubekit", "cubekit.cli", "cubekit.errors"}
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the report is a plain dict, so the command line's own import stays small
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cubekit.cli; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_sc_check_loads_no_numpy(tmp_path):
     path = tmp_path / "g.pres"
     path.write_text("generators a b\nparam n = 1,2,3\nrelator (a^n b^n)^5\n")

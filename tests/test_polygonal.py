@@ -359,9 +359,21 @@ class TestSCCheck:
             assert rep.cover.passed
             assert all(v is None or v >= 5 for _, v in rep.cover.covers)
 
-    def test_boundary_cap(self):
-        with pytest.raises(SizeCapError):
-            polygonal_sc_check(ngon_complex(26), QUARTER)
+    def test_large_polygons_answer(self):
+        # the greedy sweep is polynomial, so no polygon size is refused
+        for x in (
+            ngon_complex(26),
+            ngon_complex(40),
+            ngon_complex(200),
+            shared_path_complex(26, 3),
+            shared_path_complex(40, 12),
+        ):
+            rep = polygonal_sc_check(x, QUARTER)
+            pcs = pieces(x)
+            for pid, val in rep.cover.covers:
+                m, arcs = _arcs_on(x, pid, pcs)
+                assert m == x.sides(pid) >= 26
+                assert val == min_circular_cover_brute(m, arcs), (x, pid)
 
 
 class TestWalls:
@@ -506,10 +518,41 @@ class TestDualComplex:
         assert dc.graph.n == 1
         assert dc.principal == {"a": "o", "b": "o"}
 
-    def test_vertex_cap(self):
-        # 13 pairwise crossing walls: the dual is the 13-cube, 8192 vertices
-        with pytest.raises(SizeCapError, match="exceeds 4096"):
-            dual_cube_complex(ngon_complex(26))
+    def test_wall_less_dual_fields(self):
+        # no walls take the same path as any other complex
+        x = PolygonalComplex(["a", "b"], {}, {})
+        dc = dual_cube_complex(x)
+        assert dc.base is x and dc.walls == ()
+        assert dc.vertex_index == {"a": 0, "b": 1}
+        assert dc.wall_of_edge == {}
+        assert dc.system.sides.shape == (0, 2)
+        assert dc.system.transverse.shape == (0, 0)
+        assert dc.graph.ids == ["o"] and list(dc.graph.edges) == []
+        assert dc.orientations == {"o": ()}
+        assert dc.hyperplane_walls == ()
+        assert dc.graph.is_median().ok
+
+    def test_vertex_cap(self, monkeypatch):
+        # 12 and 13 pairwise crossing walls: the 12-cube (4 096 vertices) and
+        # the 13-cube are past the median recognition cap, and are refused
+        # while the orientations are enumerated, before any graph is built
+        built = []
+
+        class Spy(median.MedianGraph):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(polygonal, "MedianGraph", Spy)
+        for sides in (24, 26):
+            with pytest.raises(
+                SizeCapError, match="exceeds 4000 vertices, the IS_MEDIAN_CAP"
+            ):
+                dual_cube_complex(ngon_complex(sides))
+        assert built == []
+        # the spy does see a dual under the cap
+        dual_cube_complex(ngon_complex(22))
+        assert len(built) == 1
 
     def test_fan_dual_is_median_anyway(self):
         dc = dual_cube_complex(three_square_fan_complex())
@@ -754,31 +797,20 @@ class TestSeparationTransfer:
                 separation_transfer(x, dc, u, w, rep)
             ), name
 
-    def test_kept_chains_serve_only_their_complex_and_report(self):
+    def test_another_complex_is_refused(self):
+        # the dual owns what is derived from it; an equal complex under
+        # another object is not the dual's own
         x = square_chain_complex(6)
         dc = dual_cube_complex(x)
-        rep = classify_maximal_cubes(dc)
         u, w = dc.principal["t0"], dc.principal["t6"]
-        tr = separation_transfer(x, dc, u, w, rep)
+        other = square_chain_complex(6)
+        for rep in (None, classify_maximal_cubes(dc)):
+            with pytest.raises(ValidationError, match="not the one the dual"):
+                separation_transfer(other, dc, u, w, rep)
+            with pytest.raises(ValidationError, match="not the one the dual"):
+                dual_projection(other, dc, u, rep)
+        tr = separation_transfer(x, dc, u, w)
         assert (tr.dual_disjoint, tr.wall_disjoint) == (6, 4)
-
-        def poison():
-            _, _, (_, dual_chains, wall_chains) = dc._cache["transfer"]
-            assert len(dual_chains) == len(wall_chains) == 1
-            for chains in (dual_chains, wall_chains):
-                chains.update(dict.fromkeys(chains, ()))
-
-        # the same complex and report read the kept chains back
-        poison()
-        kept = separation_transfer(x, dc, u, w, rep)
-        assert (kept.dual_disjoint, kept.wall_disjoint) == (0, 0)
-        # another complex object under the same report, then another report
-        # for the first complex: each starts over
-        for other_x, other_rep in ((square_chain_complex(6), rep), (x, classify_maximal_cubes(dc))):
-            poison()
-            assert separation_transfer(other_x, dc, u, w, other_rep) == tr
-            made_x, made_rep, _ = dc._cache["transfer"]
-            assert made_x is other_x and made_rep is other_rep
 
     def test_chain_eight(self):
         x = square_chain_complex(8)
@@ -872,42 +904,49 @@ class TestSeparationTransfer:
     def test_each_vertex_projected_and_cubes_classified_once(self, monkeypatch):
         projected, classified = [], []
         real_project = polygonal.dual_projection
-        real_classify = polygonal.classify_maximal_cubes
+        real_maximal = median.MedianGraph.maximal_cubes
 
         def project(x, dc, v, report=None):
             projected.append(v)
             return real_project(x, dc, v, report)
 
-        def classify(dc):
-            classified.append(dc)
-            return real_classify(dc)
+        def maximal_cubes(self):
+            # a classification reads the maximal cubes once when it is made
+            classified.append(self)
+            return real_maximal(self)
 
         monkeypatch.setattr(polygonal, "dual_projection", project)
-        monkeypatch.setattr(polygonal, "classify_maximal_cubes", classify)
+        monkeypatch.setattr(median.MedianGraph, "maximal_cubes", maximal_cubes)
         x = hex_chain_complex(3)
         dc = dual_cube_complex(x)
         pairs = list(itertools.permutations(dc.graph.ids, 2))
         bare = [separation_transfer(x, dc, u, w) for u, w in pairs]
-        assert classified == [dc]
+        assert classified == [dc.graph]
         assert sorted(projected) == sorted(dc.graph.ids)
-        # another report is another set of points, again made once each
+        # the dual's own report is the one kept, so nothing is made again
         projected.clear()
-        rep = real_classify(dc)
+        rep = classify_maximal_cubes(dc)
         given = [separation_transfer(x, dc, u, w, rep) for u, w in pairs]
-        assert sorted(projected) == sorted(dc.graph.ids)
+        assert projected == []
         assert given == bare
-        # bare projections share the dual's one classification too
+        # bare and given projections share the dual's one classification too
         for v in dc.graph.ids:
-            real_project(x, dc, v)
-        assert classified == [dc]
+            assert real_project(x, dc, v) == real_project(x, dc, v, rep)
+        assert classified == [dc.graph]
 
-    def test_cached_points_never_serve_another_report(self):
+    def test_another_report_is_refused(self):
         x = hex_chain_complex(3)
         dc = dual_cube_complex(x)
         u, w = dc.graph.ids[:2]
         separation_transfer(x, dc, u, w, classify_maximal_cubes(dc))
-        with pytest.raises(ConsistencyError, match="no maximal cube"):
-            separation_transfer(x, dc, u, w, ClassificationReport(True, (), ()))
+        stale = ClassificationReport(True, (), ())
+        with pytest.raises(ValidationError, match="not the dual's classification"):
+            separation_transfer(x, dc, u, w, stale)
+        with pytest.raises(ValidationError, match="not the dual's classification"):
+            dual_projection(x, dc, u, stale)
+        # an equal report made on another dual of the same complex is accepted
+        rep = classify_maximal_cubes(dual_cube_complex(x))
+        assert separation_transfer(x, dc, u, w, rep) == separation_transfer(x, dc, u, w)
 
     def test_all_pairs_sweep_leaves_no_entry_per_pair(self):
         # the wall systems keep rows per wall, halfspace or vertex only: after
