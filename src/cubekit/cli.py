@@ -38,7 +38,6 @@ from .errors import (
     APEX,
     CLIQUE,
     EXACT,
-    GRID_NODE_CAP,
     L1,
     LARGE_JOINS,
     LINF,
@@ -166,13 +165,6 @@ def _lambda(text: str) -> Fraction:
         raise ValidationError(str(e)) from None
 
 
-def _cap(cap: int) -> int:
-    """A search cap below 1 would only ever report an empty lower bound."""
-    if cap < 1:
-        raise ValidationError(f"--cap must be at least 1 (got {cap})")
-    return cap
-
-
 # -- command handlers: each returns (inputs, parameters, results, verdict) ---------
 
 
@@ -237,14 +229,13 @@ def _cmd_median_dist(args):
 def _cmd_diag_grid(args):
     from .diagnostics import max_grid
 
-    cap = _cap(args.cap)
     g, digest = _load_median(args.file)
-    rep = max_grid(g, cap=cap)
+    rep = max_grid(g)
     witness = None
     if rep.witnesses:
         best = rep.witnesses[-1]
         witness = {"verticals": best.verticals, "horizontals": best.horizontals}
-    return [digest], {"cap": args.cap}, [
+    return [digest], {}, [
         _result("grid_pareto", rep.pareto, rep.method),
         _result("grid_thinness", rep.thinness, rep.method, witness),
     ], None
@@ -253,9 +244,11 @@ def _cmd_diag_grid(args):
 def _cmd_diag_rect(args):
     from .diagnostics import max_thick_rectangle
 
-    cap = _cap(args.cap)
+    # a cap below 1 would only ever report an empty lower bound
+    if args.cap < 1:
+        raise ValidationError(f"--cap must be at least 1 (got {args.cap})")
     g, digest = _load_median(args.file)
-    rep = max_thick_rectangle(g, cap=cap)
+    rep = max_thick_rectangle(g, cap=args.cap)
     witness = None
     if rep.best is not None:
         witness = {"a": rep.best.a, "b": rep.best.b, "embedding": rep.best.embedding}
@@ -675,11 +668,6 @@ def _build_parser() -> argparse.ArgumentParser:
     diag = subs.add_parser("diag").add_subparsers(dest="op", required=True)
     p = diag.add_parser("grid")
     p.add_argument("file")
-    p.add_argument(
-        "--cap", type=int, default=GRID_NODE_CAP,
-        help="grid search nodes to visit before the result is a lower bound "
-        "(default %(default)s)",
-    )
     p.set_defaults(handler=_cmd_diag_grid)
     p = diag.add_parser("rect")
     p.add_argument("file")

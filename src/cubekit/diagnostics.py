@@ -3,14 +3,20 @@
 Grids of hyperplanes, flat rectangles, the four-point constant, bigon
 thinness, cone-off constructions, contracting hyperplanes and fineness
 certificates.  Everything here is exact unless a search cap is hit, in
-which case the result is flagged as a lower bound.
+which case the result is flagged as a lower bound; grids have no cap.
 
-One chain search grows chains of hyperplanes for both grid questions.
-`grid_search` reads Pareto sizes off it; `walls_in_grids` marks, in one
-pass, every hyperplane of an (n,n)-grid, using that a hyperplane lies in
-one iff it lies in an n-chain crossed by some n-chain, and `contracting`
-decides every hyperplane from that one pass.  Chains come from the
-halfspace inclusion order (see `WallSystem`): walls that do not cross nest,
+Both grid questions are read off one table over nested halfspace pairs.
+A wall that crosses two nested walls crosses every wall between them
+(Sageev's pocsets, Proc. LMS 71, 1995), so every grid's verticals run
+between an innermost halfspace a and an outermost c, and its horizontals
+are a chain among the walls crossing the walls of a and c.  The table
+holds, for each pair a inside c, the longest chain from a up to c (a
+longest path over the covers of the halfspace inclusion order) and the
+longest chain crossing both.  `grid_search` reads Pareto sizes off it;
+`walls_in_grids` marks every hyperplane of an (n,n)-grid, using that a
+hyperplane lies in one iff it lies in an n-chain crossed by some n-chain,
+and `contracting` decides every hyperplane from that one table.  The
+inclusion order comes from `WallSystem`: walls that do not cross nest,
 side c of k lying in side a of j iff it misses side 1 - a of j, by the
 empty quadrant of median hyperplanes, the exact Tits crossing table of
 Coxeter ball walls and Wise's rule for polygonal walls.
@@ -28,6 +34,7 @@ has no sampled mode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +45,6 @@ from .errors import (
     APEX,
     CLIQUE,
     EXACT,
-    GRID_NODE_CAP,
     L1,
     LOWER_BOUND,
     RECT_STATE_CAP,
@@ -47,7 +53,7 @@ from .errors import (
     SizeCapError,
     ValidationError,
 )
-from .median import MedianGraph, WallSystem
+from .median import MedianGraph, WallSystem, _row_bits
 
 # exact delta and bigon scans: pruned, grids and Q8 in l1 take under 0.1 s
 # at this size, but Q8 bigons in linf, which pruning cannot cut, take 4 s at
@@ -71,7 +77,7 @@ class GridReport:
     witnesses: tuple[Grid, ...]
     thinness: int
     method: str
-    nodes: int
+    nodes: int  # nested wall pairs the grid table scored
 
 
 def verify_grid(ws: WallSystem, grid: Grid) -> None:
@@ -98,141 +104,154 @@ def verify_grid(ws: WallSystem, grid: Grid) -> None:
                 )
 
 
-def _chain_search(ws: WallSystem, visit, cap: int, need: int = 1) -> tuple[int, bool]:
-    """Depth-first search over the chains of ws: (nodes, exact).
+class _NestedPairs:
+    """The grid table of a wall system, by Sageev's pocset rule.
 
-    Chains grow from the empty chain by walls of increasing index, so each
-    is met once.  The first wall picks its side 0 and each later one its
-    halfspace comparable with all picks.  Walls that do not cross nest
-    (side c of k lies in side a of j iff it misses side 1 - a of j), by the
-    empty quadrant of median hyperplanes, the Tits crossing table of ball
-    walls and Wise's rule for polygonal walls (see `WallSystem`).  The
-    search carries the AND of the picks' comparable rows: a wall may extend
-    the chain iff it has a halfspace there and lies above the last index.
-    A chain whose crossing walls (those transverse to all its members) hold
-    no chain of `need` walls is cut, since its extensions are crossed by
-    fewer.  At every other nonempty chain ``visit(chain, rep, cross, ext)``
-    gets the chain, the pair it separates, the longest chain crossing it
-    and the mask of walls that may extend it, and returns whether to
-    descend.  The search stops at `cap` nodes and is then not exact.
+    Only walls whose crossing row holds an n-chain are kept.  That drops no
+    vertical of a grid with n horizontals, nor any wall between two of its
+    verticals, which crosses those horizontals too; so chains between two
+    kept walls with n common crossing walls are as long as in ``ws``.
+    Halfspace i < k is side 0 of kept wall
+    ``walls[i]`` and i + k its side 1.  ``up[c, a]`` is the longest chain of
+    halfspaces from a up to c (0 when a is not inside c).  ``q[x, y]`` is
+    the longest chain crossing kept walls x and y, exact on the ``nodes``
+    pairs with n walls from one up to the other and n walls crossing both,
+    and below n elsewhere.
     """
-    nodes = 0
-    h, full = ws.h, (1 << ws.h) - 1
-    comparable = ws._nesting()[1]
-    crossing: dict[int, tuple] = {}
 
-    def dfs(picks, common, tmask, last):
-        nonlocal nodes
-        if nodes >= cap:
-            return False
-        nodes += 1
-        if picks:
-            if tmask not in crossing:
-                crossing[tmask] = ws.longest_chain(tmask)
-            qlen, cross, _ = crossing[tmask]
-            if qlen < need:
-                return True
-        ext = (common | common >> h) & full & -(1 << (last + 1))
-        if picks and not visit(tuple(H % h for H in picks), ws._pair_of(picks), cross, ext):
-            return True
-        rest = ext
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            pick = j if common >> j & 1 else j + h
-            if not dfs(picks + (pick,), common & comparable[pick], tmask & ws._trans_int[j], j):
-                return False
-        return True
+    def __init__(self, ws: WallSystem, n: int):
+        self.ws, self.crossing = ws, functools.cache(ws.longest_chain)
+        h, trans = ws.h, ws._trans_int
+        own = [self.crossing(row)[0] for row in trans]
+        self.walls = walls = [j for j in range(h) if own[j] >= n]
+        self.k = k = len(walls)
+        halves = np.array(walls + [j + h for j in walls], dtype=np.intp)
+        order = np.argsort(np.array(ws._size)[halves], kind="stable")
+        # inclusion rows with bit t the t-th smallest kept halfspace, so the
+        # top bit of a set is maximal in it
+        cols, nbytes, below = halves[order], -(-2 * h // 8), ws._nesting()
+        raw = b"".join(below[H].to_bytes(nbytes, "little") for H in cols.tolist())
+        bits = np.frombuffer(raw, np.uint8).reshape(2 * k, nbytes)
+        rows = _row_bits(np.unpackbits(bits, axis=1, count=2 * h, bitorder="little")[:, cols])
+        # longest paths over the covers by rising size; the covers of c are
+        # found by taking the largest halfspace left inside c and dropping
+        # all inside it
+        nat = order.tolist()
+        self.covers = covers = [[] for _ in nat]
+        self.up = up = np.zeros((2 * k, 2 * k), dtype=np.int16 if k < 1 << 15 else np.int32)
+        for t, rest in enumerate(rows):
+            c = nat[t]
+            while rest:
+                b = rest.bit_length() - 1
+                covers[c].append(nat[b])
+                rest &= ~(rows[b] | 1 << b)
+            if covers[c]:
+                col = up[covers[c]].max(axis=0)
+                up[c] = col + (col > 0)
+            up[c, c] = 1
+        # from a side of x up to a side of y; symmetric by complements
+        self.span = np.maximum(
+            np.maximum(up[:k, :k], up[k:, :k]), np.maximum(up[:k, k:], up[k:, k:])
+        ).T
+        tk = ws.transverse[np.ix_(walls, walls)].astype(np.float32)
+        common = tk @ tk
+        scored = (self.span >= n) & (common >= n)
+        self.nodes = int(np.count_nonzero(np.triu(scored)))
+        self.q = q = scored.astype(up.dtype)
+        q[np.diag_indices(k)] = [own[j] for j in walls]
+        xs, ys = np.nonzero(np.triu(scored & (common >= 2), 1))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            q[x, y] = q[y, x] = self.crossing(trans[walls[x]] & trans[walls[y]])[0]
 
-    try:
-        exact = dfs((), (1 << 2 * h) - 1, full, -1) if h else True
-    finally:
-        # dfs refers to itself, a cycle that would keep ws alive until the
-        # cycle collector runs
-        del dfs
-    return nodes, exact
+    def chain(self, a: int, c: int) -> list[int]:
+        """The walls of a longest chain from halfspace a up to c, innermost
+        first, traced back over the covers."""
+        up, out = self.up, [c]
+        while out[-1] != a:
+            out.append(next(b for b in self.covers[out[-1]] if up[b, a] == up[out[-1], a] - 1))
+        return [self.walls[i % self.k] for i in reversed(out)]
+
+    def grid(self, a: int, c: int, verticals) -> Grid:
+        """`verticals` crossed by the longest chain crossing the walls of
+        halfspaces a and c, once `verify_grid` accepts it."""
+        x, y = (self.ws._trans_int[self.walls[i % self.k]] for i in (a, c))
+        grid = Grid(tuple(verticals), self.crossing(x & y)[1])
+        verify_grid(self.ws, grid)
+        return grid
 
 
-def grid_search(ws: WallSystem, cap: int = GRID_NODE_CAP) -> GridReport:
-    """Pareto-maximal grid sizes with witnesses, by chain search.
+def grid_search(ws: WallSystem) -> GridReport:
+    """Pareto-maximal grid sizes with witnesses, from nested halfspace pairs.
 
-    For each chain the best crossing chain is found among the walls
-    transverse to all of its members.
+    Every grid's verticals run from an innermost halfspace a up to an
+    outermost c, and every wall crossing the walls of a and c crosses each
+    wall between them (Sageev 1995).  So each Pareto size is a pair a inside
+    c: p the longest chain from a up to c and q the longest chain crossing
+    both, one `longest_chain` per distinct pair of crossing rows.  Each
+    witness is re-checked by `verify_grid`.
     """
-    table: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
-
-    def maxq_from(p: int) -> int:
-        return max((val[0] for pp, val in table.items() if pp >= p), default=0)
-
-    def visit(chain, rep, cross, ext):
-        p, qlen = len(chain), len(cross)
-        cur = table.get(p)
-        if cur is None or qlen > cur[0]:
-            table[p] = (qlen, ws.order_chain(chain, rep), cross)
-        return not all(maxq_from(p + k) >= qlen for k in range(1, ext.bit_count() + 1))
-
-    nodes, exact = _chain_search(ws, visit, cap)
-    norm: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for p, (q, chain, cross) in table.items():
-        if p < q:
-            p, q, chain, cross = q, p, cross, chain
-        norm.setdefault((p, q), (chain, cross))
-    keys = [
-        k
-        for k in norm
-        if not any(k2 != k and k2[0] >= k[0] and k2[1] >= k[1] for k2 in norm)
-    ]
-    keys.sort(reverse=True)
-    witnesses = []
-    for p, q in keys:
-        chain, cross = norm[(p, q)]
-        grid = Grid(verticals=chain, horizontals=cross)
-        verify_grid(ws, grid)
-        witnesses.append(grid)
-    thinness = max((q for _, q in keys), default=0)
+    t = _NestedPairs(ws, 1)
+    norm: dict[tuple[int, int], Grid] = {}
+    for q in np.unique(t.q[t.q > 0]).tolist():
+        x, y = map(int, np.unravel_index(np.where(t.q == q, t.span, 0).argmax(), t.span.shape))
+        p = int(t.span[x, y])
+        a, c = next((a, c) for a in (x, x + t.k) for c in (y, y + t.k) if t.up[c, a] == p)
+        grid = t.grid(a, c, t.chain(a, c))
+        norm.setdefault((max(p, q), min(p, q)), grid if p >= q else Grid(grid.horizontals, grid.verticals))
+    keys = sorted(
+        (k for k in norm if not any(k2 != k and k2[0] >= k[0] and k2[1] >= k[1] for k2 in norm)),
+        reverse=True,
+    )
     return GridReport(
         pareto=tuple(keys),
-        witnesses=tuple(witnesses),
-        thinness=thinness,
-        method=EXACT if exact else LOWER_BOUND,
-        nodes=nodes,
+        witnesses=tuple(norm[k] for k in keys),
+        thinness=max((q for _, q in keys), default=0),
+        method=EXACT,
+        nodes=t.nodes,
     )
 
 
-def max_grid(g: MedianGraph, cap: int = GRID_NODE_CAP) -> GridReport:
-    return grid_search(g.wall_system, cap)
+def max_grid(g: MedianGraph) -> GridReport:
+    return grid_search(g.wall_system)
 
 
-def walls_in_grids(ws: WallSystem, n: int) -> tuple[frozenset[int], bool]:
-    """The walls that lie in some (n,n)-grid, and whether the search was exact.
+def walls_in_grids(ws: WallSystem, n: int) -> frozenset[int]:
+    """The walls that lie in some (n,n)-grid, from nested halfspace pairs.
 
-    Grids are symmetric and any n walls of a chain are a chain, so a wall
-    lies in an (n,n)-grid iff it lies in an n-chain crossed by some n-chain.
-    One chain search over chains of at most n walls finds such chains and
-    marks each with its longest crossing chain, once `verify_grid` accepts
-    them.  A branch is cut when the walls crossing its chain hold no
-    n-chain, when it cannot reach n walls, or when its chain and extension
-    mask hold no unmarked wall.  Past `GRID_NODE_CAP` nodes the walls left
-    unmarked are only not known to lie in a grid.
+    Grids are symmetric, so a wall lies in an (n,n)-grid iff one of its
+    halfspaces j lies between halfspaces a inside c with n walls crossing
+    both (which then cross every wall between them, Sageev 1995) and a
+    chain of n walls from a through j up to c.  For each a, one max over its
+    qualifying c gives the longest chain from every j up to one of them.
+    Each marked wall is then shown in a grid of n verticals and at least n
+    horizontals that `verify_grid` accepts.
     """
     if n < 1:
         raise GraphInputError("grid size must be >= 1")
-    marked = 0
-
-    def visit(chain, rep, cross, ext):
-        nonlocal marked
-        if len(chain) == n:
-            verify_grid(ws, Grid(verticals=ws.order_chain(chain, rep), horizontals=cross))
-            for j in chain + cross:
-                marked |= 1 << j
-            return False
-        for j in chain:
-            ext |= 1 << j
-        return ext.bit_count() >= n and bool(ext & ~marked)
-
-    _, exact = _chain_search(ws, visit, GRID_NODE_CAP, n)
-    return frozenset(j for j in range(ws.h) if (marked >> j) & 1), exact
+    t = _NestedPairs(ws, n)
+    up, k = t.up, t.k
+    qual = (up >= n) & np.tile(t.q >= n, (2, 2))
+    via: dict[int, tuple[int, int]] = {}
+    found = np.zeros(2 * k, dtype=bool)
+    for a in np.flatnonzero(qual.any(axis=0)).tolist():
+        cs = np.flatnonzero(qual[:, a])
+        block = up[cs]
+        top, low = block.max(axis=0), up[:, a].astype(np.intp)
+        js = np.flatnonzero((low > 0) & (top > 0) & (low + top > n) & ~found)
+        found[js] = True
+        for j, c in zip(js.tolist(), cs[block[:, js].argmax(axis=0)].tolist()):
+            via[j] = (a, c)
+    marked, shown = {t.walls[j % k] for j in via}, set()
+    for j, (a, c) in sorted(via.items()):
+        if t.walls[j % k] not in shown:
+            lower, upper = t.chain(a, j), t.chain(j, c)
+            full = lower + upper[1:]
+            s = min(len(lower) - 1, len(full) - n)
+            grid = t.grid(a, c, full[s : s + n])
+            shown.update(grid.verticals + grid.horizontals)
+    if shown != marked:
+        raise ConsistencyError("the grids shown do not cover the walls marked")
+    return frozenset(marked)
 
 
 # -- flat rectangles -------------------------------------------------------------
@@ -719,29 +738,16 @@ def contracting(g: MedianGraph, n: int) -> ContractingReport:
     cone-off over the carriers of the non-contracting ones.
 
     A hyperplane is n-contracting when its dimension is below n and no
-    (n,n)-grid contains it; one `walls_in_grids` search decides every
-    hyperplane.
+    (n,n)-grid contains it; one `walls_in_grids` table over nested
+    halfspace pairs decides every hyperplane exactly (Sageev 1995).
     """
     if n < 1:
         raise GraphInputError("contracting level must be >= 1")
-    in_grid, exact = walls_in_grids(g.wall_system, n)
+    in_grid = walls_in_grids(g.wall_system, n)
     verdicts = []
     for h in g.hyperplanes():
-        if h.dimension >= n:
-            verdicts.append(
-                HyperplaneVerdict(h.index, h.dimension, None, False, EXACT)
-            )
-            continue
-        found = h.index in in_grid
-        verdicts.append(
-            HyperplaneVerdict(
-                h.index,
-                h.dimension,
-                found,
-                not found,
-                EXACT if found or exact else LOWER_BOUND,
-            )
-        )
+        found = None if h.dimension >= n else h.index in in_grid
+        verdicts.append(HyperplaneVerdict(h.index, h.dimension, found, found is False, EXACT))
     members = {
         f"carrier_{v.index}": hyperplane_carrier(g, v.index)
         for v in verdicts

@@ -4,7 +4,7 @@ and the one union-find.
 The constants live here, the one module every layer imports, so that the
 command line can build its parser without importing a layer (or numpy).
 Each layer re-exports the ones it uses: ``cubekit.median.L1`` and
-``cubekit.diagnostics.GRID_NODE_CAP`` are these objects.  ``UnionFind``
+``cubekit.diagnostics.RECT_STATE_CAP`` are these objects.  ``UnionFind``
 lives here for the same reason: ``racg`` and ``polygonal`` both use it, and
 ``racg`` loads no numpy until it builds a ball.
 """
@@ -19,11 +19,9 @@ LOWER_BOUND = "lower_bound"
 CLIQUE = "clique"
 APEX = "apex"
 
-# grid search nodes visited by grid_search and walls_in_grids: a node costs
-# 1-2.4 us on Coxeter balls of 720-4 935 walls, so a capped search stops
-# within about 2.5 s; walls_in_grids(n = 2) on the C5 ball at r = 6 is exact
-# at 258 401 nodes (measured table in CHANGES.md)
-GRID_NODE_CAP = 1_000_000
+# grids need no cap: grid_search and walls_in_grids read every grid off one
+# table over nested halfspace pairs, exact by Sageev's rule that a wall
+# crossing two nested walls crosses every wall between them
 # separation masks examined by max_thick_rectangle: the 32x32-vertex grid
 # (247 008 masks) stays exact, and a capped run on 4 000 vertices adds about
 # 2 s to the hyperplane tables (measured table in CHANGES.md)

@@ -298,7 +298,7 @@ class WallSystem:
         # halfspace sizes and lowest vertices, and their order once asked for
         self._size = self._side_count + [self.nv - c for c in self._side_count]
         self._lowest = np.r_[self.sides.argmax(axis=1), (~self.sides).argmax(axis=1)].tolist()
-        self._order: tuple[list[int], list[int]] | None = None
+        self._order: list[int] | None = None
 
     def iter_pairs(self) -> Iterator[tuple[int, tuple[int, int]]]:
         """The distinct separation masks, each with the first pair (x, y),
@@ -341,11 +341,11 @@ class WallSystem:
             self._columns = _row_bits(self.sides.T)
         return self._columns
 
-    def _nesting(self) -> tuple[list[int], list[int]]:
+    def _nesting(self) -> list[int]:
         """Int rows over the 2h halfspaces: ``below[H]`` holds those strictly
-        inside H and ``comparable[H]`` those strictly inside or around it,
-        never of H's wall or a wall crossing it.  Built in blocks of walls
-        against all walls, so scratch tables stay near ``_BLOCK_CELLS``."""
+        inside H, never of H's wall or a wall crossing it.  Built in blocks
+        of walls against all walls, so scratch tables stay near
+        ``_BLOCK_CELLS``."""
         if self._order is None:
             h, s, size = self.h, self.sides.astype(np.float32), np.array(self._size)
             below = [0] * (2 * h)
@@ -360,12 +360,7 @@ class WallSystem:
                 inside &= size < size[np.r_[js, js + h]].reshape(2, -1, 1)
                 below[j0 : j0 + len(js)] = _row_bits(inside[0])
                 below[h + j0 : h + j0 + len(js)] = _row_bits(inside[1])
-            # K is strictly around H iff K's complement is strictly inside
-            # H's complement; complementing swaps the two halves of a row
-            low = (1 << h) - 1
-            flip = below[h:] + below[:h]
-            comparable = [b | c >> h | (c & low) << h for b, c in zip(below, flip)]
-            self._order = below, comparable
+            self._order = below
         return self._order
 
     def _pair_of(self, halfspaces) -> tuple[int, int]:
@@ -397,7 +392,7 @@ class WallSystem:
         """
         if not mask:
             return 0, (), None
-        below, h = self._nesting()[0], self.h
+        below, h = self._nesting(), self.h
         levels = [mask | mask << h]
         while levels[-1]:
             last, up, rest = levels[-1], 0, levels[-1]
@@ -941,12 +936,15 @@ class MedianGraph:
         return self._cache["cubes"]
 
     def maximal_cubes(self) -> list[Cube]:
-        """The maximal cubes, in the order of ``cubes()``; without the full
-        inventory cached, corners and ``Cube`` objects are built for the
-        maximal ones alone."""
-        if "cubes" in self._cache:
-            return [c for c in self._cache["cubes"] if c.maximal]
-        return self._build_cubes(maximal_only=True)
+        """The maximal cubes, in the order of ``cubes()``, as a new list each
+        call; without the full inventory cached, corners and ``Cube`` objects
+        are built for the maximal ones alone, once."""
+        if "maximal_cubes" not in self._cache:
+            if "cubes" in self._cache:
+                self._cache["maximal_cubes"] = [c for c in self._cache["cubes"] if c.maximal]
+            else:
+                self._cache["maximal_cubes"] = self._build_cubes(maximal_only=True)
+        return list(self._cache["maximal_cubes"])
 
     def cube_counts(self) -> dict[int, int]:
         """The number of cubes of each dimension, by rising dimension."""

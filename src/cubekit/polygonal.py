@@ -678,13 +678,15 @@ def dual_projection(x, dc, v, report=None) -> ProjectionPoint:
     to its midpoint, and a single shared vertex to that vertex.
 
     ``x`` must be ``dc.base`` and ``report`` None or the dual's own
-    classification; anything else is a ``ValidationError``.
+    classification; anything else is a ``ValidationError``.  So is a
+    vertex in an unclassified maximal cube, since projection needs a
+    small-cancellation complex.
     """
     dc.graph.indices_of([v])  # an unknown id is bad input, not a bug
     report = _own_report(x, dc, report)
     for wset, verts in report.unmatched:
         if v in verts:
-            raise ConsistencyError(
+            raise ValidationError(
                 f"dual vertex {v} lies in an unclassified maximal cube over "
                 f"walls {list(wset)}; projection needs a small-cancellation "
                 "complex"

@@ -511,6 +511,125 @@ def grid_through_wall_brute(ws, wall: int, n: int, cap: int = 200_000) -> tuple[
     return state["found"], state["exact"]
 
 
+# the capped chain search that grid_search and walls_in_grids ran before
+# their pair table; an oracle only where it finishes under the cap
+CHAIN_NODE_CAP = 1_000_000
+
+
+def chain_search(ws, visit, cap: int, need: int = 1) -> tuple[int, bool]:
+    """Depth-first search over the chains of ws: (nodes, exact).
+
+    Chains grow from the empty chain by walls of increasing index, so each
+    is met once.  The first wall picks its side 0 and each later one its
+    halfspace comparable with all picks.  Walls that do not cross nest
+    (side c of k lies in side a of j iff it misses side 1 - a of j), by the
+    empty quadrant of median hyperplanes, the Tits crossing table of ball
+    walls and Wise's rule for polygonal walls (see `WallSystem`).  The
+    search carries the AND of the picks' comparable rows: a wall may extend
+    the chain iff it has a halfspace there and lies above the last index.
+    A chain whose crossing walls (those transverse to all its members) hold
+    no chain of `need` walls is cut, since its extensions are crossed by
+    fewer.  At every other nonempty chain ``visit(chain, rep, cross, ext)``
+    gets the chain, the pair it separates, the longest chain crossing it
+    and the mask of walls that may extend it, and returns whether to
+    descend.  The search stops at `cap` nodes and is then not exact.
+    """
+    nodes = 0
+    h, full = ws.h, (1 << ws.h) - 1
+    # K is strictly around H iff K's complement is strictly inside H's
+    # complement; complementing swaps the two halves of a row
+    below, low = ws._nesting(), (1 << h) - 1
+    comparable = [b | c >> h | (c & low) << h for b, c in zip(below, below[h:] + below[:h])]
+    crossing: dict[int, tuple] = {}
+
+    def dfs(picks, common, tmask, last):
+        nonlocal nodes
+        if nodes >= cap:
+            return False
+        nodes += 1
+        if picks:
+            if tmask not in crossing:
+                crossing[tmask] = ws.longest_chain(tmask)
+            qlen, cross, _ = crossing[tmask]
+            if qlen < need:
+                return True
+        ext = (common | common >> h) & full & -(1 << (last + 1))
+        if picks and not visit(tuple(H % h for H in picks), ws._pair_of(picks), cross, ext):
+            return True
+        rest = ext
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            pick = j if common >> j & 1 else j + h
+            if not dfs(picks + (pick,), common & comparable[pick], tmask & ws._trans_int[j], j):
+                return False
+        return True
+
+    try:
+        exact = dfs((), (1 << 2 * h) - 1, full, -1) if h else True
+    finally:
+        # dfs refers to itself, a cycle that would keep ws alive until the
+        # cycle collector runs
+        del dfs
+    return nodes, exact
+
+
+def grid_pareto_by_chains(ws, cap: int = CHAIN_NODE_CAP) -> tuple[set[tuple[int, int]], bool]:
+    """Pareto-maximal grid sizes (p >= q) by the chain search: for each
+    chain length the longest chain crossing some chain of it, with a branch
+    cut once longer chains already have crossings as long; (sizes, exact)."""
+    table: dict[int, int] = {}
+
+    def visit(chain, rep, cross, ext):
+        p, qlen = len(chain), len(cross)
+        table[p] = max(table.get(p, 0), qlen)
+        return not all(
+            max((q for pp, q in table.items() if pp >= p + t), default=0) >= qlen
+            for t in range(1, ext.bit_count() + 1)
+        )
+
+    _, exact = chain_search(ws, visit, cap)
+    sizes = {(max(p, q), min(p, q)) for p, q in table.items()}
+    pareto = {k for k in sizes if not any(k2 != k and k2[0] >= k[0] and k2[1] >= k[1] for k2 in sizes)}
+    return pareto, exact
+
+
+def grid_walls_by_chains(ws, n: int, cap: int = CHAIN_NODE_CAP) -> tuple[frozenset[int], bool]:
+    """The walls of some (n,n)-grid by the chain search over chains of at
+    most n walls, each n-chain marked with its longest crossing chain; a
+    branch is cut when it cannot reach n walls or holds no unmarked wall;
+    (walls, exact)."""
+    marked = 0
+
+    def visit(chain, rep, cross, ext):
+        nonlocal marked
+        if len(chain) == n:
+            for j in chain + cross:
+                marked |= 1 << j
+            return False
+        for j in chain:
+            ext |= 1 << j
+        return ext.bit_count() >= n and bool(ext & ~marked)
+
+    _, exact = chain_search(ws, visit, cap, n)
+    return frozenset(j for j in range(ws.h) if (marked >> j) & 1), exact
+
+
+def grid_answers_by_chains(ws, ns=(1, 2, 3, 4, 5)):
+    """The chain search's Pareto grid sizes and, for each n in `ns`, the
+    walls of its (n,n)-grids; an oracle only when no search hits its cap,
+    so a capped one raises."""
+    pareto, exact = grid_pareto_by_chains(ws)
+    walls = {}
+    for n in ns:
+        walls[n], done = grid_walls_by_chains(ws, n)
+        exact &= done
+    if not exact:
+        raise SizeCapError("the chain search stopped at its cap")
+    return pareto, walls
+
+
 def rectangle_sizes_bruteforce(g, max_cells: int = 64) -> set[tuple[int, int]]:
     """All (a, b) with an isometric [0,a]x[0,b] grid embedding, a <= b."""
     d = {v: bfs_dist(adj_dict(g), v) for v in g.ids}

@@ -165,6 +165,43 @@ def staircase(steps: int) -> MedianGraph:
     )
 
 
+def line_arrangement_graph(rng: random.Random, points: int = 12, lines: int = 7) -> MedianGraph:
+    """The cubulation of random lines through a random planar point set.
+
+    Each line that leaves points on both sides, and splits them as no
+    earlier line did, is a wall, its sides the points on either side; two
+    lines cross when all four quadrants hold points.  The vertices are the orientations, one side per wall, whose
+    chosen sides pairwise meet (named "o" and the chosen side of each wall,
+    as ``bruteforce.dual_orientations_brute`` does), and the edges are the
+    single flips.  The result is median but rarely a product.
+    """
+    pts = [(rng.randrange(100), rng.randrange(100)) for _ in range(points)]
+    sides = []
+    while len(sides) < lines:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        # integer points never lie on a line at a half-integer offset
+        c = rng.randrange(100 * (abs(a) + abs(b)) + 1) + 0.5
+        side = frozenset(i for i, (x, y) in enumerate(pts) if a * x + b * y < c)
+        split = (side, frozenset(range(points)) - side)
+        if side and split[1] and not any(side in old for old in sides):
+            sides.append(split)
+    chosen = [()]
+    for k, wall in enumerate(sides):
+        chosen = [
+            o + (s,) for o in chosen for s in (0, 1)
+            if all(wall[s] & sides[i][t] for i, t in enumerate(o))
+        ]
+    names = ["o" + "".join(map(str, o)) for o in chosen]
+    known = set(names)
+    edges = []
+    for name in names:
+        for k in range(1, len(sides) + 1):
+            other = name[:k] + ("1" if name[k] == "0" else "0") + name[k + 1 :]
+            if name < other and other in known:
+                edges.append((name, other))
+    return MedianGraph(names, edges)
+
+
 # polygonal complexes
 
 

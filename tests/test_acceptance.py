@@ -433,7 +433,7 @@ def test_07_contracting_matches_ball_check():
         verdicts = dict(contracting_generators(dg).contracting)
         bw = ball_walls(dg, 3)
         for n in (2, 3):
-            walls, _ = walls_in_grids(bw.system, n)
+            walls = walls_in_grids(bw.system, n)
             for v, is_contracting in verdicts.items():
                 found = bw.generator_wall(v) in walls
                 if found == is_contracting:

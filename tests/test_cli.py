@@ -226,14 +226,14 @@ class TestExitCodes:
         assert cli.main(argv + [str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec")
 
-    @pytest.mark.parametrize("op", ["grid", "rect"])
+    @pytest.mark.parametrize("op", ["rect"])
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_search_cap_below_one_is_two(self, op, cap, files, capsys):
         assert cli.main(["diag", op, files("g", SQUARE), "--cap", cap]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --cap must be at least 1 (got {cap})\n"
 
-    @pytest.mark.parametrize("op", ["grid", "rect"])
+    @pytest.mark.parametrize("op", ["rect"])
     def test_search_cap_of_one_is_accepted(self, op, files, capsys):
         code, rep = run_json(capsys, ["diag", op, files("g", SQUARE), "--cap", "1"])
         assert code == 0
@@ -276,18 +276,40 @@ class TestExitCodes:
 
 def test_search_cap_defaults_are_the_library_constants():
     parser = cli._build_parser()
-    grid = parser.parse_args(["diag", "grid", "g"])
     rect = parser.parse_args(["diag", "rect", "g"])
-    assert grid.cap == diagnostics.GRID_NODE_CAP
     assert rect.cap == diagnostics.RECT_STATE_CAP
 
 
-@pytest.mark.parametrize("op, name", [("grid", "GRID_NODE_CAP"), ("rect", "RECT_STATE_CAP")])
+@pytest.mark.parametrize("op, name", [("rect", "RECT_STATE_CAP")])
 def test_search_cap_help_prints_the_library_default(op, name, capsys):
     with pytest.raises(SystemExit):
         cli.main(["diag", op, "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert f"(default {getattr(diagnostics, name)})" in text
+
+
+def test_grid_has_no_cap_option(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diag", "grid", files("g", SQUARE), "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+    code, rep = run_json(capsys, ["diag", "grid", files("g", SQUARE)])
+    assert code == 0 and rep["parameters"] == {}
+
+
+def test_grid_on_a_long_ladder_is_exact(files, capsys):
+    # P1100 x K2 (2 202 vertices): a recursive search over its chains ran
+    # out of stack here
+    n = 1100
+    text = "".join(f"vertex {i}{s}\n" for i in range(n + 1) for s in "ab")
+    text += "".join(f"edge {i}a {i}b\n" for i in range(n + 1))
+    text += "".join(f"edge {i}{s} {i + 1}{s}\n" for i in range(n) for s in "ab")
+    code, rep = run_json(capsys, ["diag", "grid", files("ladder", text)])
+    assert code == 0
+    results = {r["quantity"]: r for r in rep["results"]}
+    assert results["grid_pareto"]["value"] == [[1100, 1]]
+    assert results["grid_pareto"]["method"] == "exact"
+    assert results["grid_thinness"]["value"] == 1
 
 
 def test_import_does_not_load_scipy():
@@ -388,10 +410,10 @@ class TestCachedParser:
 
     def test_no_state_leaks_between_calls(self, files, capsys):
         g = files("g", SQUARE)
-        _, rep = run_json(capsys, ["diag", "grid", g, "--cap", "5"])
+        _, rep = run_json(capsys, ["diag", "rect", g, "--cap", "5"])
         assert rep["parameters"]["cap"] == 5
-        _, rep = run_json(capsys, ["diag", "grid", g])
-        assert rep["parameters"]["cap"] == diagnostics.GRID_NODE_CAP
+        _, rep = run_json(capsys, ["diag", "rect", g])
+        assert rep["parameters"]["cap"] == diagnostics.RECT_STATE_CAP
 
         s = files("s", SUBS)
         _, rep = run_json(capsys, ["coneoff", "build", g, s, "--pair", "a", "c"])
@@ -820,3 +842,14 @@ class TestPolyCommands:
 
     def test_unknown_dual_vertex_is_input_error(self, files, capsys):
         assert cli.main(["poly", "project", files("h", HEX_POLY), "zzz"]) == 2
+
+    def test_projection_out_of_an_unmatched_cube_is_input_error(self, files, capsys):
+        # the wall-less complex has one dual vertex, in no classified cube:
+        # classify fails its verdict, and projecting from it is bad input
+        path = files("w", WALL_LESS_POLY)
+        assert cli.main(["poly", "classify", path]) == 1
+        capsys.readouterr()
+        for argv in (["o"], ["o", "o"]):
+            assert cli.main(["poly", "project", path, *argv]) == 2
+            err = capsys.readouterr().err
+            assert "projection needs a small-cancellation complex" in err

@@ -12,7 +12,7 @@ import pytest
 import bruteforce as bf
 from bruteforce import flat_rectangles
 import fixtures as fx
-from cubekit import diagnostics
+from cubekit import diagnostics, racg
 from cubekit.diagnostics import (
     APEX,
     CLIQUE,
@@ -140,25 +140,20 @@ def test_verify_grid_rejects_parallel_cross_family():
         verify_grid(ws, Grid(verticals=tuple(verts[:2]), horizontals=(verts[2],)))
 
 
-def test_grid_node_cap_degrades_to_lower_bound():
-    rep = max_grid(fx.grid_graph(5, 4), cap=3)
-    assert rep.method == LOWER_BOUND
-
-
 def test_grid_through_every_wall_of_flat_grid():
     g = fx.grid_graph(5, 5)
     ws = g.wall_system
-    walls, exact = walls_in_grids(ws, 3)
+    walls = walls_in_grids(ws, 3)
     for j in range(g.hyperplane_count):
-        assert (j in walls, exact) == (True, True)
-    walls, exact = walls_in_grids(ws, 6)
-    assert (0 in walls, exact) == (False, True)
+        assert j in walls
+    walls = walls_in_grids(ws, 6)
+    assert 0 not in walls
 
 
 def test_no_grid_through_tree_wall():
     g = fx.random_tree(10, random.Random(1))
-    walls, exact = walls_in_grids(g.wall_system, 2)
-    assert (0 in walls, exact) == (False, True)
+    walls = walls_in_grids(g.wall_system, 2)
+    assert 0 not in walls
 
 
 def test_walls_in_grids_match_both_oracles(monkeypatch):
@@ -177,8 +172,7 @@ def test_walls_in_grids_match_both_oracles(monkeypatch):
         ws = g.wall_system
         for n in (1, 2, 3, 4):
             verified.clear()
-            walls, exact = walls_in_grids(ws, n)
-            assert exact
+            walls = walls_in_grids(ws, n)
             assert walls == bf.grid_walls_brute(g.sides, g.transverse, n)
             per_wall = [bf.grid_through_wall_brute(ws, j, n) for j in range(ws.h)]
             assert walls == {j for j, (found, _) in enumerate(per_wall) if found}
@@ -189,22 +183,73 @@ def test_walls_in_grids_match_both_oracles(monkeypatch):
                 assert shown == walls
 
 
-def test_contracting_makes_one_chain_search(monkeypatch):
-    searches = []
-    real = diagnostics._chain_search
+def _rule_answers(ws, ns=(1, 2, 3, 4, 5)):
+    rep = grid_search(ws)
+    assert rep.method == EXACT and len(rep.witnesses) == len(rep.pareto)
+    for (p, q), grid in zip(rep.pareto, rep.witnesses):
+        assert (len(grid.verticals), len(grid.horizontals)) == (p, q)
+        verify_grid(ws, grid)
+    return set(rep.pareto), {n: walls_in_grids(ws, n) for n in ns}
 
-    def spy(ws, visit, cap, *need):
-        searches.append(cap)
-        return real(ws, visit, cap, *need)
 
-    monkeypatch.setattr(diagnostics, "_chain_search", spy)
+def test_grid_rule_matches_the_chain_search():
+    # named fixtures, seeded products, a longer staircase and the 5x5 grid
+    graphs = list(fx.named_fixtures().values()) + _seeded_products(60, 27)
+    for g in graphs + [fx.staircase(6), fx.grid_graph(5, 5)]:
+        assert _rule_answers(g.wall_system) == bf.grid_answers_by_chains(g.wall_system), g
+
+
+def test_grid_rule_matches_the_oracles_on_line_arrangements():
+    # cubulations of random lines through random planar point sets: median
+    # graphs that are rarely products.  Times a path of 4 edges, a wall
+    # strictly between two walls 4 apart may lie on no chain of 4, and so in
+    # no (4,4)-grid
+    rng = random.Random(2027)
+    sizes = set()
+    for _ in range(120):
+        g = fx.line_arrangement_graph(rng, rng.randint(10, 40), rng.randint(6, 12))
+        assert g.is_median().ok
+        ws = g.wall_system
+        pareto, walls = _rule_answers(ws, (1, 2, 3, 4))
+        assert (pareto, walls) == bf.grid_answers_by_chains(ws, (1, 2, 3, 4)), g
+        if ws.h <= 10:
+            assert pareto == bf.grid_pareto_bruteforce(g.sides, g.transverse)
+        sizes |= pareto
+        if g.n <= 45:
+            ws = fx.product_graph(g, fx.path_graph(4)).wall_system
+            assert _rule_answers(ws, (4,)) == bf.grid_answers_by_chains(ws, (4,)), g
+    # the family reaches past thin grids
+    assert {(3, 2), (4, 1), (2, 2)} <= sizes
+
+
+def test_grids_past_the_old_node_cap_are_exact():
+    # the capped chain search stopped at a lower bound on both balls
+    for spec, r, want in (
+        ((list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]), 6, (12, 1)),
+        ((list("xypqrs"), [(a, b) for a in "xy" for b in "pqrs"]), 5, (10, 10)),
+    ):
+        ws = racg.ball_walls(DefiningGraph(*spec), r).system
+        rep = grid_search(ws)
+        assert (rep.pareto, rep.method) == ((want,), EXACT)
+        verify_grid(ws, rep.witnesses[0])
+
+
+def test_contracting_builds_one_pair_table(monkeypatch):
+    tables = []
+    real = diagnostics._NestedPairs
+
+    def spy(ws, n):
+        tables.append(n)
+        return real(ws, n)
+
+    monkeypatch.setattr(diagnostics, "_NestedPairs", spy)
     for g, n in ((fx.grid_graph(5, 5), 3), (fx.staircase(5), 3), (fx.grid_graph(5, 5), 6)):
-        searches.clear()
+        tables.clear()
         contracting(g, n)
-        assert searches == [diagnostics.GRID_NODE_CAP]
-    searches.clear()
+        assert tables == [n]
+    tables.clear()
     max_grid(fx.grid_graph(3, 2))
-    assert searches == [diagnostics.GRID_NODE_CAP]
+    assert tables == [1]
 
 
 def test_contracting_verdicts_match_the_per_wall_search():
@@ -217,18 +262,6 @@ def test_contracting_verdicts_match_the_per_wall_search():
                 else:
                     found, _ = bf.grid_through_wall_brute(g.wall_system, v.index, n)
                     assert (v.grid_found, v.contracting, v.method) == (found, not found, EXACT)
-
-
-def test_contracting_past_the_node_cap_is_a_lower_bound(monkeypatch):
-    # the one budget runs out before every wall is reached: the walls found
-    # stay exact, the rest are contracting only as a lower bound
-    monkeypatch.setattr(diagnostics, "GRID_NODE_CAP", 5)
-    rep = contracting(fx.grid_graph(5, 5), 3)
-    found = [v for v in rep.verdicts if v.grid_found]
-    unfound = [v for v in rep.verdicts if not v.grid_found]
-    assert found and unfound
-    assert all(not v.contracting and v.method == EXACT for v in found)
-    assert all(v.contracting and v.method == LOWER_BOUND for v in unfound)
 
 
 def test_chain_search_frees_its_wall_system():

@@ -807,7 +807,7 @@ def test_chain_search_extends_by_comparability_as_by_separation_masks():
     for ws in _chain_oracle_systems_at_scale():
         pairs = list(ws.iter_pairs())
         seen.clear()
-        nodes, _ = diagnostics._chain_search(ws, visit, 400, 0)
+        nodes, _ = bf.chain_search(ws, visit, 400, 0)
         assert len(seen) == nodes - 1
         for chain, rep, cross, ext in seen:
             held = sum(1 << j for j in chain)
@@ -950,6 +950,33 @@ def test_cube_counts_dimensions_and_maximal_cubes_match_the_inventory(monkeypatc
         assert sum(corner_rows) == len(maximal), g
         assert "cubes" not in fresh._cache
         assert fresh.cubes() == cubes and fresh.maximal_cubes() == maximal, g
+
+
+def test_maximal_cubes_are_built_once_and_kept(monkeypatch):
+    # a second call builds no corner rows, with or without the inventory,
+    # and a caller changing the list it got changes nothing kept
+    corner_rows = []
+    real_corners = MedianGraph._cube_corners
+
+    def corners(self, gates, hs):
+        corner_rows.append(len(gates))
+        return real_corners(self, gates, hs)
+
+    monkeypatch.setattr(MedianGraph, "_cube_corners", corners)
+    for g in (hypercube(3), product_graph(random_tree(9, random.Random(3)), path_graph(2)),
+              dual_cube_complex(hex_chain_complex(4)).graph):
+        for inventory in (False, True):
+            fresh = MedianGraph(g.ids, [(g.ids[a], g.ids[b]) for a, b in g.edges])
+            if inventory:
+                fresh.cubes()
+            first = fresh.maximal_cubes()
+            corner_rows.clear()
+            second = fresh.maximal_cubes()
+            assert corner_rows == [] and second == first and second is not first
+            second.pop()
+            first.clear()
+            assert fresh.maximal_cubes() == [c for c in fresh.cubes() if c.maximal]
+            assert len(fresh.maximal_cubes()) == len(second) + 1
 
 
 def test_star_times_path_cubes_at_scale():

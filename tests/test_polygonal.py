@@ -10,12 +10,12 @@ import pytest
 from bruteforce import (
     best_family_brute,
     dual_orientations_brute,
+    grid_answers_by_chains,
     hyperplane_walls_brute,
     min_circular_cover_brute,
     wall_classes_brute,
 )
 from cubekit.errors import (
-    ConsistencyError,
     GraphInputError,
     SizeCapError,
     ValidationError,
@@ -709,7 +709,7 @@ class TestProjection:
     def test_fan_projection_raises(self):
         x = three_square_fan_complex()
         dc = dual_cube_complex(x)
-        with pytest.raises(ConsistencyError, match="unclassified"):
+        with pytest.raises(ValidationError, match="unclassified"):
             dual_projection(x, dc, sorted(dc.graph.ids)[0])
 
     def test_unknown_vertex_is_input_error(self):
@@ -1054,6 +1054,17 @@ class TestInvariants:
             assert rep.passed, name
             grids = max_grid(dual_cube_complex(x).graph)
             assert grids.thinness <= 3, name
+
+    def test_grid_rule_matches_the_chain_search(self):
+        from cubekit.diagnostics import grid_search, verify_grid, walls_in_grids
+
+        for name, x in dual_fixtures().items():
+            ws = dual_cube_complex(x).system
+            rep = grid_search(ws)
+            for grid in rep.witnesses:
+                verify_grid(ws, grid)
+            walls = {n: walls_in_grids(ws, n) for n in (1, 2, 3, 4, 5)}
+            assert (set(rep.pareto), walls) == grid_answers_by_chains(ws), name
 
     def test_deterministic_rebuild(self):
         a = dual_cube_complex(two_hexagons_complex())

@@ -8,7 +8,7 @@ import pytest
 
 import bruteforce as bf
 from cubekit import racg
-from cubekit.diagnostics import walls_in_grids
+from cubekit.diagnostics import grid_search, verify_grid, walls_in_grids
 from cubekit.errors import GraphInputError, SizeCapError
 from cubekit.median import MedianGraph
 from cubekit.racg import (
@@ -312,7 +312,7 @@ class TestBallWalls:
             dg = dgn(*spec)
             bw = ball_walls(dg, 3)
             for n in (2, 3):
-                walls, _ = walls_in_grids(bw.system, n)
+                walls = walls_in_grids(bw.system, n)
                 for v, w in want.items():
                     found = bw.generator_wall(v) in walls
                     assert found == w, (spec[1], v, n)
@@ -325,7 +325,7 @@ class TestBallWalls:
             verdicts = dict(contracting_generators(dg).contracting)
             bw = ball_walls(dg, 3)
             for n in (2, 3):
-                walls, _ = walls_in_grids(bw.system, n)
+                walls = walls_in_grids(bw.system, n)
                 for v, is_contracting in verdicts.items():
                     if is_contracting:
                         found = bw.generator_wall(v) in walls
@@ -338,12 +338,27 @@ class TestBallWalls:
             for r in radii:
                 ws = ball_walls(dgn(*spec), r).system
                 for n in (1, 2, 3, 4):
-                    walls, exact = walls_in_grids(ws, n)
+                    walls = walls_in_grids(ws, n)
                     per_wall = [bf.grid_through_wall_brute(ws, j, n) for j in range(ws.h)]
-                    assert exact and all(ok for _, ok in per_wall)
+                    assert all(ok for _, ok in per_wall)
                     assert walls == {j for j, (found, _) in enumerate(per_wall) if found}
                     if ws.h <= 14:
                         assert walls == bf.grid_walls_brute(ws.sides, ws.transverse, n)
+
+
+def test_grid_rule_matches_the_chain_search_on_balls():
+    # Coxeter ball walls of the named defining graphs and of ten seeded
+    # random ones; the rule's witnesses all pass verify_grid
+    specs = [(C4, 4), (C5, 4), (PATH4, 4), (C6, 3), (C4_PENDANT, 3), (TWO_SQUARES, 3), (K24, 3)]
+    specs += [(spec, 3) for spec in _random_defining_graphs(10, 27)]
+    for spec, top in specs:
+        for r in range(1, top + 1):
+            ws = ball_walls(dgn(*spec), r).system
+            rep = grid_search(ws)
+            for grid in rep.witnesses:
+                verify_grid(ws, grid)
+            walls = {n: walls_in_grids(ws, n) for n in (1, 2, 3, 4, 5)}
+            assert (set(rep.pareto), walls) == bf.grid_answers_by_chains(ws), (spec, r)
 
 
 def _random_defining_graphs(count, seed):
